@@ -271,10 +271,12 @@ void BM_PbftOrderingThroughput(benchmark::State& state) {
 BENCHMARK(BM_PbftOrderingThroughput)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_PbftPipelinedThroughput(benchmark::State& state) {
-  // ISSUE 7: batched rounds with k consensus instances in flight.
-  // Args are {batch_size, pipeline_depth}; depth 0 is the legacy auto
-  // mode (2 for batched configs), so {8,0} vs {8,4} isolates what the
-  // deeper pipeline buys on an otherwise identical system.
+  // Batched rounds with k consensus instances in flight. Args are
+  // {batch_size, pipeline_depth}; depth 0 is the default auto mode (2 for
+  // batched configs), so {8,0} vs {8,4} isolates what the deeper pipeline
+  // buys on an otherwise identical system, and {1,0} is the unbatched
+  // default every batched row should be read against ({1,1} is the
+  // strictly serial floor).
   for (auto _ : state) {
     cluster::EventSim sim;
     bftsmr::SystemConfig cfg;
@@ -298,6 +300,7 @@ void BM_PbftPipelinedThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_PbftPipelinedThroughput)
     ->Args({1, 1})
+    ->Args({1, 0})
     ->Args({8, 0})
     ->Args({8, 4})
     ->Args({32, 4});

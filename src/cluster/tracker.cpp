@@ -296,9 +296,11 @@ void ExecutionTracker::start_task(NodeId nid, const TaskRef& ref) {
     }
   } else {
     const std::size_t partition = ref.index;
-    // Copied (not referenced): runs_ may grow while the payload is in
-    // flight, and the corruption below must not touch the shuffle buffer.
-    std::vector<Relation> inputs = run.shuffle[partition];
+    // Moved (not referenced): runs_ may grow while the payload is in
+    // flight. Each partition is handed to exactly one reduce task, once,
+    // so nothing reads the shuffle slot again (the corruption below only
+    // touches this task's own copy).
+    std::vector<Relation> inputs = std::move(run.shuffle[partition]);
     if (commission && !pol.lie_in_digest) {
       corrupt_relation(inputs[0], rng);
     }
@@ -513,8 +515,8 @@ void ExecutionTracker::finish_run(std::size_t run_id) {
   for (Relation& slice : run.direct_slices) {
     for (dataflow::Tuple& t : slice.rows()) out.add(std::move(t));
   }
-  run.metrics.hdfs_write += out.byte_size();
   dfs_.write(run.output_path, std::move(out));
+  run.metrics.hdfs_write += dfs_.size_of(run.output_path);
 
   run.metrics.finish_time = sim_.now();
   run.complete = true;

@@ -310,8 +310,10 @@ Value eval_aggregate(const Expr& e, const Tuple& input) {
     case AggFunc::kAvg:
       if (count == 0) return Value::null();
       // Sum-then-divide (not a moving average): the deterministic scheme
-      // §5.4 prescribes. Bags are canonically sorted by the engine, so the
-      // double sum itself is also order-stable across replicas.
+      // §5.4 prescribes. The double sum depends on the order it is taken
+      // in, so a bag read by AVG (or SUM, MIN, MAX) always arrives
+      // canonically sorted — only a bag read solely through COUNT/SIZE
+      // may skip the sort (mapreduce::group_bag_order_observable).
       return Value(dsum / static_cast<double>(count));
     case AggFunc::kMin:
     case AggFunc::kMax:

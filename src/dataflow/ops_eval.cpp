@@ -76,12 +76,14 @@ void sort_bag(std::vector<Tuple>& rows) {
 
 }  // namespace
 
-Relation eval_group(const OpNode& op, const Relation& in) {
+Relation eval_group(const OpNode& op, const Relation& in,
+                    bool canonical_bags) {
   // Hash-partitioned grouping on canonical key bytes (serialisation is
   // injective, so byte equality == key equality). Groups are emitted in
-  // canonical key order with canonically sorted bags, which makes the
-  // result independent of the input row order — replicas fed the shuffle
-  // in different map-completion orders still produce identical bytes.
+  // canonical key order with (by default) canonically sorted bags, which
+  // makes the result independent of the input row order — replicas fed the
+  // shuffle in different map-completion orders still produce identical
+  // bytes.
   KeyIndex idx(in.size() / 4 + 1);
   std::vector<std::vector<Tuple>> bags;
   std::vector<const Tuple*> reps;  // one representative row per key
@@ -101,7 +103,7 @@ Relation eval_group(const OpNode& op, const Relation& in) {
   Relation out(op.schema);
   out.reserve(order.size());
   for (const std::size_t id : order) {
-    sort_bag(bags[id]);
+    if (canonical_bags) sort_bag(bags[id]);
     Tuple o;
     o.fields.push_back(extract_key(*reps[id], op.group_keys));
     o.fields.push_back(Value(

@@ -18,11 +18,17 @@ Relation eval_filter(const OpNode& op, const Relation& in);
 Relation eval_foreach(const OpNode& op, const Relation& in);
 
 /// GROUP BY. Hash-partitioned on canonical key bytes; groups are emitted
-/// in canonical key order with canonically sorted bags, so the result is
-/// independent of the input row order (every replica, regardless of the
-/// order tuples arrived from the shuffle, produces byte-identical groups
-/// — the determinism fix §5.4 defers to future work, implemented here).
-Relation eval_group(const OpNode& op, const Relation& in);
+/// in canonical key order. With `canonical_bags` (the default, and what
+/// the interpreter and every operator-level caller use) each bag is
+/// canonically sorted too, so the result is independent of the input row
+/// order: every replica, regardless of the order tuples arrived from the
+/// shuffle, produces byte-identical groups — the determinism fix §5.4
+/// defers to future work, implemented here. Without it a bag keeps the
+/// input order of its rows; only a caller that has proven nothing can
+/// observe that order (mapreduce::group_bag_order_observable) may pass
+/// false.
+Relation eval_group(const OpNode& op, const Relation& in,
+                    bool canonical_bags = true);
 
 /// Inner equi-join (null keys never match). Output rows follow the left
 /// input order; per-key right matches follow the right input order, or —

@@ -6,11 +6,7 @@ namespace clusterbft::dataflow {
 
 std::uint64_t Relation::byte_size() const {
   std::uint64_t total = 0;
-  std::string buf;
-  for (const Tuple& t : rows_) {
-    serialize_tuple_into(t, buf);
-    total += buf.size();
-  }
+  for (const Tuple& t : rows_) total += serialized_size(t);
   return total;
 }
 

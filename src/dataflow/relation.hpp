@@ -31,7 +31,8 @@ class Relation {
   void reserve(std::size_t n) { rows_.reserve(n); }
 
   /// Total canonical-serialisation size of all rows — the "bytes" a task
-  /// reading/writing this relation accounts for.
+  /// reading/writing this relation accounts for. Counted with
+  /// serialized_size(), so no row is serialised.
   std::uint64_t byte_size() const;
 
   /// Rows in canonical (full-tuple) order — the one canonical sort used

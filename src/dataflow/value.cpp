@@ -1,6 +1,6 @@
 #include "dataflow/value.hpp"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -197,41 +197,71 @@ std::string Value::to_string() const {
   return "?";
 }
 
+namespace {
+
+/// Appends the decimal rendering of `x`. std::to_chars writes exactly what
+/// printf's %PRId64 / %zu write (optional '-', no leading zeros), so the
+/// canonical bytes are those of the original snprintf encoding.
+template <typename Int>
+void append_decimal(std::string& out, Int x) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), x);
+  out.append(buf, r.ptr);
+}
+
+/// Length of append_decimal's output for an unsigned value.
+std::size_t decimal_length(std::uint64_t x) {
+  std::size_t n = 1;
+  for (;;) {
+    if (x < 10) return n;
+    if (x < 100) return n + 1;
+    if (x < 1000) return n + 2;
+    if (x < 10000) return n + 3;
+    x /= 10000;
+    n += 4;
+  }
+}
+
+std::size_t decimal_length(std::int64_t x) {
+  if (x >= 0) return decimal_length(static_cast<std::uint64_t>(x));
+  // Two's-complement magnitude: exact even for INT64_MIN.
+  return 1 + decimal_length(~static_cast<std::uint64_t>(x) + 1);
+}
+
+/// %.17g round-trips IEEE doubles exactly; replicas computing the same
+/// double serialise identically. Returns the length written to `buf`.
+std::size_t format_double(double x, char (&buf)[40]) {
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", x);
+  return static_cast<std::size_t>(n);
+}
+
+}  // namespace
+
 void Value::serialize(std::string& out) const {
   out.push_back(static_cast<char>(type()));
   switch (type()) {
     case ValueType::kNull:
       break;
-    case ValueType::kLong: {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%" PRId64, as_long());
-      out += buf;
+    case ValueType::kLong:
+      append_decimal(out, std::get<std::int64_t>(v_));
       out.push_back('\x1f');
       break;
-    }
     case ValueType::kDouble: {
-      // %.17g round-trips IEEE doubles exactly; replicas computing the
-      // same double serialise identically.
       char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", as_double());
-      out += buf;
+      out.append(buf, format_double(std::get<double>(v_), buf));
       out.push_back('\x1f');
       break;
     }
     case ValueType::kChararray: {
-      const auto& s = as_string();
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%zu", s.size());
-      out += buf;
+      const auto& s = std::get<std::string>(v_);
+      append_decimal(out, s.size());
       out.push_back(':');
       out += s;
       break;
     }
     case ValueType::kBag: {
-      const auto& bag = *as_bag();
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%zu", bag.size());
-      out += buf;
+      const auto& bag = *std::get<Bag>(v_);
+      append_decimal(out, bag.size());
       out.push_back('[');
       for (const Tuple& t : bag) {
         for (const Value& v : t.fields) v.serialize(out);
@@ -241,16 +271,44 @@ void Value::serialize(std::string& out) const {
       break;
     }
     case ValueType::kTuple: {
-      const Tuple& t = *as_tuple();
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%zu", t.size());
-      out += buf;
+      const Tuple& t = *std::get<BoxedTuple>(v_);
+      append_decimal(out, t.size());
       out.push_back('(');
       for (const Value& v : t.fields) v.serialize(out);
       out.push_back(')');
       break;
     }
   }
+}
+
+std::size_t Value::serialized_size() const {
+  // Mirrors serialize() case by case: 1 byte of type tag, then the body.
+  switch (type()) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kLong:
+      return 1 + decimal_length(std::get<std::int64_t>(v_)) + 1;
+    case ValueType::kDouble: {
+      char buf[40];
+      return 1 + format_double(std::get<double>(v_), buf) + 1;
+    }
+    case ValueType::kChararray: {
+      const std::size_t len = std::get<std::string>(v_).size();
+      return 1 + decimal_length(std::uint64_t{len}) + 1 + len;
+    }
+    case ValueType::kBag: {
+      const auto& bag = *std::get<Bag>(v_);
+      std::size_t n = 1 + decimal_length(std::uint64_t{bag.size()}) + 2;
+      for (const Tuple& t : bag) n += dataflow::serialized_size(t) + 1;
+      return n;
+    }
+    case ValueType::kTuple: {
+      const Tuple& t = *std::get<BoxedTuple>(v_);
+      return 1 + decimal_length(std::uint64_t{t.size()}) + 2 +
+             dataflow::serialized_size(t);
+    }
+  }
+  return 1;
 }
 
 std::string serialize_tuple(const Tuple& t) {
@@ -263,6 +321,12 @@ std::string serialize_tuple(const Tuple& t) {
 void serialize_tuple_into(const Tuple& t, std::string& out) {
   out.clear();
   for (const Value& v : t.fields) v.serialize(out);
+}
+
+std::size_t serialized_size(const Tuple& t) {
+  std::size_t n = 0;
+  for (const Value& v : t.fields) n += v.serialized_size();
+  return n;
 }
 
 namespace {

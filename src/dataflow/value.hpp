@@ -102,6 +102,11 @@ class Value {
   /// replicas — the foundation of digest comparison.
   void serialize(std::string& out) const;
 
+  /// Length of serialize()'s output, computed without building it — the
+  /// byte-accounting path (split sizing, task I/O metrics) needs only the
+  /// count.
+  std::size_t serialized_size() const;
+
  private:
   std::variant<std::monostate, std::int64_t, double, std::string, Bag,
                BoxedTuple>
@@ -115,6 +120,9 @@ std::string serialize_tuple(const Tuple& t);
 /// (digesting, split sizing) reuse one buffer instead of allocating a
 /// fresh std::string per tuple.
 void serialize_tuple_into(const Tuple& t, std::string& out);
+
+/// serialize_tuple(t).size(), without serialising.
+std::size_t serialized_size(const Tuple& t);
 
 /// Deterministic (FNV-1a over canonical serialisation) hash of a tuple
 /// prefix — used for shuffle partitioning, so it must be identical across

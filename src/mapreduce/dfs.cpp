@@ -10,22 +10,23 @@ bool Dfs::exists(const std::string& path) const {
 
 void Dfs::write(const std::string& path, dataflow::Relation rel) {
   File f;
-  f.byte_size = rel.byte_size();
   // Pre-compute split boundaries: pack rows greedily into block_size_
   // chunks of canonical bytes. Deterministic, so every replica sees the
-  // same splits — a precondition for comparable per-split digests.
+  // same splits — a precondition for comparable per-split digests. Each
+  // row is sized once; the file and split totals fall out of the same pass.
   f.split_starts.push_back(0);
   std::uint64_t in_block = 0;
-  std::string row_buf;
   for (std::size_t i = 0; i < rel.rows().size(); ++i) {
-    dataflow::serialize_tuple_into(rel.rows()[i], row_buf);
-    const std::uint64_t row_bytes = row_buf.size();
+    const std::uint64_t row_bytes = dataflow::serialized_size(rel.rows()[i]);
     if (in_block > 0 && in_block + row_bytes > block_size_) {
       f.split_starts.push_back(i);
+      f.split_bytes.push_back(in_block);
       in_block = 0;
     }
     in_block += row_bytes;
+    f.byte_size += row_bytes;
   }
+  f.split_bytes.push_back(in_block);
   f.rel = std::move(rel);
   metrics_.bytes_written += f.byte_size;
   files_[path] = std::move(f);
@@ -60,8 +61,9 @@ dataflow::Relation Dfs::read_split(const std::string& path,
                               ? f.split_starts[index + 1]
                               : f.rel.rows().size();
   dataflow::Relation out(f.rel.schema());
+  out.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i) out.add(f.rel.rows()[i]);
-  metrics_.bytes_read += out.byte_size();
+  metrics_.bytes_read += f.split_bytes[index];
   return out;
 }
 

@@ -69,6 +69,8 @@ class Dfs {
     std::uint64_t byte_size = 0;
     /// Row index where each split begins (split i = [starts[i], starts[i+1])).
     std::vector<std::size_t> split_starts;
+    /// Canonical bytes of each split, sized by write() in the same pass.
+    std::vector<std::uint64_t> split_bytes;
   };
 
   const File& file_at(const std::string& path) const;

@@ -9,6 +9,7 @@
 
 namespace clusterbft::mapreduce {
 
+using dataflow::Expr;
 using dataflow::LogicalPlan;
 using dataflow::OpId;
 using dataflow::OpKind;
@@ -45,7 +46,59 @@ void digest_if_marked(const MRJobSpec& job, OpId vertex, bool reduce_side,
   }
 }
 
+/// True if `e` reads bag column `bag` other than as the whole argument of
+/// COUNT or SIZE, which depend on the bag's size alone.
+bool reads_bag_order(const Expr& e, std::size_t bag) {
+  using Kind = Expr::Kind;
+  switch (e.kind) {
+    case Kind::kColumn:
+      return e.column == bag;
+    case Kind::kRowHash:
+      return true;  // hashes the whole input tuple, bag included
+    case Kind::kAggregate:
+      return e.bag_column == bag && e.agg_func != dataflow::AggFunc::kCount;
+    case Kind::kUdfAggregate:
+      return e.bag_column == bag;
+    case Kind::kUdfScalar:
+      if (e.udf_name == "SIZE" && e.args.size() == 1 &&
+          e.args[0]->kind == Kind::kColumn) {
+        return false;
+      }
+      break;
+    default:
+      break;
+  }
+  if (e.lhs && reads_bag_order(*e.lhs, bag)) return true;
+  if (e.rhs && reads_bag_order(*e.rhs, bag)) return true;
+  for (const dataflow::ExprPtr& a : e.args) {
+    if (reads_bag_order(*a, bag)) return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+bool group_bag_order_observable(const LogicalPlan& plan, const MRJobSpec& job) {
+  if (!job.blocking) return true;
+  const OpNode& group = plan.node(*job.blocking);
+  if (group.kind != OpKind::kGroup) return true;
+  if (job.output_vertex == group.id) return true;
+  for (const VerificationPoint& vp : job.vps) {
+    if (vp.vertex == group.id) return true;
+  }
+  const std::vector<OpId> consumers = plan.children(group.id);
+  if (consumers.size() != 1 || job.reduce_ops.empty() ||
+      job.reduce_ops.front() != consumers[0]) {
+    return true;
+  }
+  const OpNode& foreach = plan.node(consumers[0]);
+  if (foreach.kind != OpKind::kForeach) return true;
+  constexpr std::size_t kBagColumn = 1;  // GROUP emits (group, bag)
+  for (const dataflow::GenField& g : foreach.gen) {
+    if (reads_bag_order(*g.expr, kBagColumn)) return true;
+  }
+  return false;
+}
 
 std::size_t shuffle_partition(const OpNode& blocking_op, int tag,
                               const Tuple& t, std::size_t num_reducers) {
@@ -130,10 +183,8 @@ MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
   for (Tuple& t : cur.rows()) {
     const std::size_t p =
         shuffle_partition(blocking, br.tag, t, job.num_reducers, key_buf);
+    result.metrics.output_bytes += dataflow::serialized_size(t);
     result.partitions[p].add(std::move(t));
-  }
-  for (const Relation& p : result.partitions) {
-    result.metrics.output_bytes += p.byte_size();
   }
   return result;
 }
@@ -157,10 +208,16 @@ ReduceTaskResult run_reduce_task(
   // completion order. Only genuinely order-sensitive inputs still sort:
   // LIMIT's single input and the JOIN probe (left) side — the build side
   // instead gets canonical per-key match lists, which reproduces the same
-  // bytes as joining two fully sorted inputs.
+  // bytes as joining two fully sorted inputs. A GROUP's bags are sorted
+  // only where their row order is observable.
   Relation cur;
   switch (blocking.kind) {
-    case OpKind::kGroup:
+    case OpKind::kGroup: {
+      CBFT_CHECK(inputs_by_tag.size() == 1);
+      cur = dataflow::eval_group(blocking, inputs_by_tag[0],
+                                 group_bag_order_observable(plan, job));
+      break;
+    }
     case OpKind::kDistinct:
     case OpKind::kOrder: {
       CBFT_CHECK(inputs_by_tag.size() == 1);

@@ -56,9 +56,21 @@ MapTaskResult run_map_task(const dataflow::LogicalPlan& plan,
                            std::size_t split_index,
                            dataflow::Relation split_rows);
 
+/// Whether the row order inside the bags of `job`'s GROUP can reach any
+/// byte: true unless the job's blocking operator is a GROUP that is neither
+/// a verification point nor the job output and whose only consumer is the
+/// job's first reduce-side FOREACH, reading the bag column only as the
+/// argument of COUNT or the built-in SIZE. Every other consumer (FILTER,
+/// STORE, another job, AVG's double sum, MIN/MAX's choice among equal
+/// values, aggregate UDFs, ROWHASH, a bag passed through) can see the
+/// order, so non-GROUP jobs and all those cases answer true.
+bool group_bag_order_observable(const dataflow::LogicalPlan& plan,
+                                const MRJobSpec& job);
+
 /// Run reduce task `partition` of `job`. `inputs_by_tag[t]` holds the
 /// concatenated map outputs with branch tag `t` for this partition
-/// (size 1 for GROUP/DISTINCT/ORDER, 2 for JOIN).
+/// (size 1 for GROUP/DISTINCT/ORDER, 2 for JOIN). A GROUP sorts its bags
+/// canonically only when group_bag_order_observable(plan, job).
 ReduceTaskResult run_reduce_task(
     const dataflow::LogicalPlan& plan, const MRJobSpec& job,
     std::size_t partition,

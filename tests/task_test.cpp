@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/presets.hpp"
+#include "common/rng.hpp"
+#include "core/graph_analyzer.hpp"
 #include "dataflow/interpreter.hpp"
+#include "dataflow/ops_eval.hpp"
 #include "dataflow/parser.hpp"
+#include "dataflow/udf.hpp"
 #include "mapreduce/compiler.hpp"
 #include "mapreduce/dfs.hpp"
 #include "workloads/scripts.hpp"
@@ -242,7 +247,159 @@ TEST(TaskTest, MetricsAccountBytesAndRecords) {
   std::size_t shuffled = 0;
   for (const Relation& p : res.partitions) shuffled += p.size();
   EXPECT_EQ(shuffled, res.metrics.records_out);
+  // Output bytes are counted row by row while partitioning; they must be
+  // the partitions' canonical sizes exactly.
+  std::uint64_t partition_bytes = 0;
+  for (const Relation& p : res.partitions) partition_bytes += p.byte_size();
+  EXPECT_EQ(res.metrics.output_bytes, partition_bytes);
 }
+
+// --- GROUP bag-order observability ----------------------------------------
+
+/// The canonical bytes of every row, in row order.
+std::string row_bytes(const Relation& rel) {
+  std::string out;
+  for (const Tuple& t : rel.rows()) out += dataflow::serialize_tuple(t);
+  return out;
+}
+
+/// The job's reduce side evaluated operator by operator, with the GROUP's
+/// bags canonically sorted or, if `canonical_bags` is false, left in
+/// input order.
+Relation reference_reduce(const LogicalPlan& plan, const MRJobSpec& job,
+                          const Relation& in, bool canonical_bags = true) {
+  Relation cur = dataflow::eval_group(plan.node(*job.blocking), in,
+                                      canonical_bags);
+  for (dataflow::OpId op : job.reduce_ops) {
+    cur = dataflow::eval_op(plan.node(op), {&cur});
+  }
+  return cur;
+}
+
+struct BagOrderCase {
+  const char* name;
+  const char* consumer;  ///< statements after `g = GROUP a BY k;`
+  bool individual;       ///< VPs from baseline::individual, else the output
+  bool observable;       ///< expected group_bag_order_observable()
+  /// The job output would differ between the two permutations if the
+  /// bags were left unsorted — the case needs its sort, and the data
+  /// shows it.
+  bool unsorted_output_differs;
+};
+
+class BagOrderObservability : public ::testing::TestWithParam<BagOrderCase> {};
+
+TEST_P(BagOrderObservability, ReduceOutputIsPermutationInvariant) {
+  const BagOrderCase& tc = GetParam();
+  // An order-sensitive aggregate UDF: the first value in the bag.
+  dataflow::UdfRegistry::AggregateUdf first;
+  first.result_type = dataflow::ValueType::kDouble;
+  first.fn = [](const std::vector<Tuple>& bag,
+                std::optional<std::size_t> col) {
+    return bag.empty() ? dataflow::Value::null() : bag.front().at(*col);
+  };
+  dataflow::UdfRegistry::instance().register_aggregate("FIRSTV", first);
+
+  const std::string script =
+      std::string("a = LOAD 'in' AS (k:long, v:double, n:long);\n"
+                  "g = GROUP a BY k;\n") +
+      tc.consumer;
+  const Compiled c0 = compile_with_vps(script);
+  ASSERT_EQ(c0.dag.jobs.size(), 1u) << tc.name;
+  std::vector<VerificationPoint> vps{{c0.dag.jobs[0].output_vertex, 0}};
+  if (tc.individual) {
+    vps = core::analyze(c0.plan, {{"in", 1 << 20}},
+                        baseline::individual(script, "ind", 1, 3));
+  }
+  const Compiled c = compile_with_vps(script, vps);
+  const MRJobSpec& job = c.dag.jobs[0];
+  ASSERT_TRUE(job.blocking.has_value());
+  if (tc.individual) {
+    bool group_is_vp = false;
+    for (const VerificationPoint& vp : job.vps) {
+      group_is_vp = group_is_vp || vp.vertex == *job.blocking;
+    }
+    ASSERT_TRUE(group_is_vp) << "individual must digest the GROUP vertex";
+  }
+  EXPECT_EQ(group_bag_order_observable(c.plan, job), tc.observable)
+      << tc.name;
+
+  // One shuffle partition, in input order and in a seeded permutation.
+  // The doubles make a sum's rounding depend on the order it is taken in.
+  const double kV[] = {1e16, 1.0, -1e16, 0.1, 2.5, -3.25, 7.0};
+  const dataflow::Schema& in_schema = c.plan.node(0).schema;
+  Relation forward(in_schema);
+  for (std::int64_t i = 0; i < 70; ++i) {
+    const double v = kV[i % 7] * static_cast<double>(i % 3 + 1);
+    forward.add(Tuple({dataflow::Value(i % 5), dataflow::Value(v),
+                       dataflow::Value((i * 7) % 11)}));
+  }
+  Relation permuted = forward;
+  Rng rng(0xBA6);
+  rng.shuffle(permuted.rows());
+
+  const ReduceTaskResult r1 = run_reduce_task(c.plan, job, 0, {forward});
+  const ReduceTaskResult r2 = run_reduce_task(c.plan, job, 0, {permuted});
+  EXPECT_EQ(row_bytes(r1.output), row_bytes(r2.output)) << tc.name;
+  ASSERT_EQ(r1.digests.size(), r2.digests.size()) << tc.name;
+  ASSERT_FALSE(r1.digests.empty()) << tc.name;
+  for (std::size_t i = 0; i < r1.digests.size(); ++i) {
+    EXPECT_EQ(r1.digests[i].key, r2.digests[i].key) << tc.name;
+    EXPECT_EQ(r1.digests[i].digest, r2.digests[i].digest) << tc.name;
+  }
+  EXPECT_EQ(r1.metrics.input_bytes, r2.metrics.input_bytes);
+  EXPECT_EQ(r1.metrics.output_bytes, r2.metrics.output_bytes);
+  EXPECT_EQ(r1.metrics.digested_bytes, r2.metrics.digested_bytes);
+
+  // Whether or not the sort ran, the bytes are those of canonical bags.
+  EXPECT_EQ(row_bytes(r1.output),
+            row_bytes(reference_reduce(c.plan, job, permuted)))
+      << tc.name;
+  EXPECT_EQ(row_bytes(reference_reduce(c.plan, job, forward, false)) !=
+                row_bytes(reference_reduce(c.plan, job, permuted, false)),
+            tc.unsorted_output_differs)
+      << tc.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, BagOrderObservability,
+    ::testing::Values(
+        BagOrderCase{"count_only",
+                     "c = FOREACH g GENERATE group, COUNT(a) AS n;\n"
+                     "STORE c INTO 'out';\n",
+                     false, false, false},
+        BagOrderCase{"count_column_and_size",
+                     "c = FOREACH g GENERATE group, COUNT(a.v) AS n, "
+                     "SIZE(a) AS s;\nSTORE c INTO 'out';\n",
+                     false, false, false},
+        BagOrderCase{"group_is_verification_point",
+                     "c = FOREACH g GENERATE group, COUNT(a) AS n;\n"
+                     "STORE c INTO 'out';\n",
+                     true, true, false},
+        BagOrderCase{"group_is_stored_output", "STORE g INTO 'out';\n", false,
+                     true, true},
+        BagOrderCase{"filter_after_group",
+                     "h = FILTER g BY group > 1;\nSTORE h INTO 'out';\n",
+                     false, true, true},
+        BagOrderCase{"avg_over_doubles",
+                     "c = FOREACH g GENERATE group, AVG(a.v) AS m;\n"
+                     "STORE c INTO 'out';\n",
+                     false, true, true},
+        BagOrderCase{"min_max",
+                     "c = FOREACH g GENERATE group, MIN(a.n) AS lo, "
+                     "MAX(a.v) AS hi;\nSTORE c INTO 'out';\n",
+                     false, true, false},
+        BagOrderCase{"aggregate_udf",
+                     "c = FOREACH g GENERATE group, FIRSTV(a.v) AS x;\n"
+                     "STORE c INTO 'out';\n",
+                     false, true, true},
+        BagOrderCase{"bag_passed_through",
+                     "c = FOREACH g GENERATE group, COUNT(a) AS n, a;\n"
+                     "STORE c INTO 'out';\n",
+                     false, true, true}),
+    [](const ::testing::TestParamInfo<BagOrderCase>& param) {
+      return std::string(param.param.name);
+    });
 
 }  // namespace
 }  // namespace clusterbft::mapreduce
