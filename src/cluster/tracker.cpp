@@ -168,11 +168,13 @@ std::string ExecutionTracker::run_output_path(std::size_t run_id) const {
 void ExecutionTracker::dispatch() {
   // Heartbeat sweep: nodes heartbeat in interleaved order, so each pass
   // hands at most one task to each node — work spreads across the
-  // cluster instead of saturating the lowest node ids first.
+  // cluster instead of saturating the lowest node ids first. The sweep
+  // ends once nothing is pending: assign_one has nothing to pick from.
   bool progress = true;
   while (progress) {
     progress = false;
     for (ResourceEntry& node : resources_.entries()) {
+      if (pending_.empty()) break;
       if (node.excluded || node.free_ru() == 0) continue;
       if (assign_one(node)) progress = true;
     }

@@ -1,7 +1,6 @@
 #include "dataflow/plan.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/check.hpp"
 
@@ -167,13 +166,28 @@ std::vector<std::size_t> LogicalPlan::levels() const {
 std::size_t LogicalPlan::distance(OpId a, OpId b) const {
   CBFT_CHECK(a < nodes_.size() && b < nodes_.size());
   if (a == b) return 0;
-  // BFS over the undirected version of the DAG.
-  std::vector<std::size_t> dist(nodes_.size(), nodes_.size());
-  std::deque<OpId> queue{a};
+  const std::size_t n = nodes_.size();
+  // Every vertex's consumers, built in one pass instead of a children()
+  // scan per dequeued vertex: consumers of v are adj[first[v], first[v+1])
+  // in ascending id, the order children() lists them. A vertex read twice
+  // (a self-join) lists its consumer twice; the second visit is a no-op.
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const OpNode& node : nodes_) {
+    for (OpId in : node.inputs) ++first[in + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<OpId> adj(first[n]);
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  for (const OpNode& node : nodes_) {
+    for (OpId in : node.inputs) adj[next[in]++] = node.id;
+  }
+  // BFS over the undirected version of the DAG; `queue` keeps every
+  // enqueued vertex and `head` is the front.
+  std::vector<std::size_t> dist(n, n);
+  std::vector<OpId> queue{a};
   dist[a] = 0;
-  while (!queue.empty()) {
-    const OpId v = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const OpId v = queue[head];
     if (v == b) return dist[v];
     auto visit = [&](OpId w) {
       if (dist[w] > dist[v] + 1) {
@@ -182,9 +196,9 @@ std::size_t LogicalPlan::distance(OpId a, OpId b) const {
       }
     };
     for (OpId in : nodes_[v].inputs) visit(in);
-    for (OpId ch : children(v)) visit(ch);
+    for (std::size_t i = first[v]; i < first[v + 1]; ++i) visit(adj[i]);
   }
-  return nodes_.size();
+  return n;
 }
 
 void LogicalPlan::validate() const {

@@ -78,6 +78,7 @@ void Frontend::admit(std::size_t ticket) {
   Ticket& t = tickets_[ticket];
   Tenant& tenant = tenants_[t.submission.tenant];
   t.session = controller_.begin_session(t.submission.request);
+  live_.insert(std::lower_bound(live_.begin(), live_.end(), ticket), ticket);
   ++tenant.inflight;
   ++inflight_total_;
   inflight_demand_ += core::base_replication(t.submission.request);
@@ -117,9 +118,8 @@ bool Frontend::admit_some() {
 }
 
 void Frontend::collect_finished() {
-  for (std::size_t i = 0; i < tickets_.size(); ++i) {
+  for (const std::size_t i : live_) {
     Ticket& t = tickets_[i];
-    if (t.session == 0 || t.collected) continue;
     if (!controller_.session_finished(t.session)) continue;
     t.result = controller_.collect_session(t.session);
     t.collected = true;
@@ -135,17 +135,14 @@ void Frontend::collect_finished() {
     }
     metrics_.cache_hits += t.result->metrics.cache_hits;
   }
+  std::erase_if(live_, [this](std::size_t i) { return tickets_[i].collected; });
 }
 
 void Frontend::run() {
   for (;;) {
     admit_some();
     collect_finished();  // a fully cache-hit admission finishes instantly
-    bool pending = inflight_total_ > 0 || queued_total() > 0;
-    for (const Ticket& t : tickets_) {
-      pending = pending || (t.session != 0 && !t.collected);
-    }
-    if (!pending) break;
+    if (inflight_total_ == 0 && queued_total() == 0) break;
     if (!sim_.step()) {
       // Event queue drained under unfinished sessions: they can never
       // make progress. The controller diagnoses each (kStalled audit

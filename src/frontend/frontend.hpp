@@ -123,7 +123,7 @@ class Frontend {
   bool admit_some();
   bool can_admit(const Ticket& t) const;
   void admit(std::size_t ticket);
-  /// Collect every finished, uncollected admitted ticket.
+  /// Collect every finished ticket in `live_`, in ticket order.
   void collect_finished();
   std::size_t queued_total() const;
 
@@ -131,6 +131,10 @@ class Frontend {
   cluster::EventSim& sim_;
   FrontendOptions options_;
   std::vector<Ticket> tickets_;
+  /// Admitted, uncollected tickets in ascending order (at most
+  /// max_concurrent): the only ones a collect sweep has to look at, so
+  /// per-step work tracks live sessions, not the submitted stream.
+  std::vector<std::size_t> live_;
   /// Name-ordered: the WRR visit order is deterministic by construction.
   std::map<std::string, Tenant> tenants_;
   std::size_t inflight_total_ = 0;

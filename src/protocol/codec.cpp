@@ -1,5 +1,7 @@
 #include "protocol/codec.hpp"
 
+#include <array>
+
 #include "common/wire.hpp"
 
 namespace clusterbft::protocol {
@@ -251,17 +253,26 @@ std::optional<Message> decode_as(WireReader& r) {
   return Message{std::move(m)};
 }
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), bitwise — frames are small
-// and the simulator is not checksum-bound. `state` is the raw register
-// (start at 0xFFFFFFFF, finalize with ~), so the sum can be accumulated
-// across the header and payload ranges without a scratch buffer.
+// CRC-32 (IEEE 802.3, reflected 0xEDB88320), one table lookup per byte:
+// the controller checksums every inbound frame it journals. Entry i is
+// the register after shifting byte i through the bitwise algorithm.
+constexpr std::array<std::uint32_t, 256> kCrc32Table = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int b = 0; b < 8; ++b) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    table[i] = c;
+  }
+  return table;
+}();
+
+// `state` is the raw register (start at 0xFFFFFFFF, finalize with ~), so
+// the sum can be accumulated across the header and payload ranges
+// without a scratch buffer.
 std::uint32_t crc32_update(std::uint32_t state, const std::uint8_t* p,
                            std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    state ^= p[i];
-    for (int b = 0; b < 8; ++b) {
-      state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1u)));
-    }
+    state = (state >> 8) ^ kCrc32Table[(state ^ p[i]) & 0xFFu];
   }
   return state;
 }

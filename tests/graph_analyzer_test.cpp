@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
+#include "common/rng.hpp"
 #include "dataflow/parser.hpp"
 #include "mapreduce/compiler.hpp"
 #include "workloads/scripts.hpp"
@@ -165,6 +167,182 @@ TEST(AnalyzeTest, NCappedByCandidateCount) {
   EXPECT_LT(vps.size(), plan.size());
 }
 
+// ---- distance and VP picks against the children()-scan reference ---------
+
+/// Reference edge distance: BFS over the undirected DAG that finds each
+/// dequeued vertex's consumers with a full children() scan — the plain
+/// formulation LogicalPlan::distance and the VP marker must agree with.
+std::size_t reference_distance(const LogicalPlan& plan, OpId a, OpId b) {
+  if (a == b) return 0;
+  std::vector<std::size_t> dist(plan.size(), plan.size());
+  std::deque<OpId> queue{a};
+  dist[a] = 0;
+  while (!queue.empty()) {
+    const OpId v = queue.front();
+    queue.pop_front();
+    if (v == b) return dist[v];
+    auto visit = [&](OpId w) {
+      if (dist[w] > dist[v] + 1) {
+        dist[w] = dist[v] + 1;
+        queue.push_back(w);
+      }
+    };
+    for (OpId in : plan.node(v).inputs) visit(in);
+    for (OpId ch : plan.children(v)) visit(ch);
+  }
+  return plan.size();
+}
+
+/// mark_verification_points rebuilt on reference_distance.
+std::vector<OpId> reference_marker(const LogicalPlan& plan,
+                                   const std::vector<double>& ir,
+                                   std::size_t n, AdversaryModel adversary) {
+  auto boundary = [&plan](OpId v) {
+    if (dataflow::is_blocking(plan.node(v).kind)) return true;
+    for (OpId c : plan.children(v)) {
+      if (plan.node(c).kind == OpKind::kStore) return true;
+    }
+    return false;
+  };
+  std::vector<OpId> marked = plan.stores();
+  std::vector<OpId> candidates;
+  for (const dataflow::OpNode& node : plan.nodes()) {
+    if (node.kind == OpKind::kLoad || node.kind == OpKind::kStore) continue;
+    if (adversary == AdversaryModel::kStrong && !boundary(node.id)) continue;
+    candidates.push_back(node.id);
+  }
+  std::vector<OpId> picked;
+  for (std::size_t round = 0; round < n && !candidates.empty(); ++round) {
+    double max_score = -1;
+    std::size_t best_index = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      std::size_t d = plan.size();
+      for (OpId m : marked) {
+        d = std::min(d, reference_distance(plan, candidates[i], m));
+      }
+      const double score = ir[candidates[i]] + static_cast<double>(d);
+      if (score > max_score) {
+        max_score = score;
+        best_index = i;
+      }
+    }
+    picked.push_back(candidates[best_index]);
+    marked.push_back(candidates[best_index]);
+    candidates.erase(candidates.begin() +
+                     static_cast<std::ptrdiff_t>(best_index));
+  }
+  return picked;
+}
+
+/// Every vertex pair's distance and every (n, adversary) VP pick equals
+/// the reference.
+void expect_matches_reference(
+    const LogicalPlan& plan,
+    const std::map<std::string, std::uint64_t>& sizes,
+    const std::string& what) {
+  SCOPED_TRACE(what);
+  for (OpId a = 0; a < plan.size(); ++a) {
+    for (OpId b = 0; b < plan.size(); ++b) {
+      ASSERT_EQ(plan.distance(a, b), reference_distance(plan, a, b))
+          << a << " -> " << b;
+    }
+  }
+  const auto ir = compute_input_ratios(plan, sizes);
+  for (AdversaryModel adv : {AdversaryModel::kWeak, AdversaryModel::kStrong}) {
+    for (std::size_t n = 0; n <= 5; ++n) {
+      EXPECT_EQ(mark_verification_points(plan, ir, n, adv),
+                reference_marker(plan, ir, n, adv))
+          << "n=" << n
+          << (adv == AdversaryModel::kStrong ? " strong" : " weak");
+    }
+  }
+}
+
+TEST(MarkerReferenceTest, PaperScriptsAndFig4MatchReference) {
+  expect_matches_reference(fig4_like(), fig4_sizes(), "fig4");
+  expect_matches_reference(parse_script(workloads::twitter_follower_analysis()),
+                           {{"twitter/edges", 3u << 20}}, "twitter follower");
+  expect_matches_reference(parse_script(workloads::twitter_two_hop_analysis()),
+                           {{"twitter/edges", 3u << 20}}, "twitter two-hop");
+  expect_matches_reference(parse_script(workloads::airline_top20_analysis()),
+                           {{"airline/flights", 5u << 20}}, "airline top-20");
+  expect_matches_reference(parse_script(workloads::weather_average_analysis()),
+                           {{"weather/gsod", 2u << 20}}, "weather average");
+}
+
+/// A random plan shape: 1-3 LOADs, then 4-19 operators, each reading
+/// earlier non-STORE vertices. About a third are JOIN / UNION / COGROUP
+/// fan-ins, their inputs drawn with replacement so some read one vertex
+/// twice (a self-join); STOREs hang off random vertices and the last one.
+LogicalPlan random_dag(Rng& rng, std::map<std::string, std::uint64_t>& sizes) {
+  static constexpr OpKind kUnary[] = {OpKind::kFilter,   OpKind::kForeach,
+                                      OpKind::kGroup,    OpKind::kDistinct,
+                                      OpKind::kOrder,    OpKind::kLimit};
+  static constexpr OpKind kFanIn[] = {OpKind::kJoin, OpKind::kUnion,
+                                      OpKind::kCogroup};
+  LogicalPlan plan;
+  std::vector<OpId> live;  // vertices a later operator may read
+  auto store = [&plan](OpId v) {
+    dataflow::OpNode st;
+    st.kind = OpKind::kStore;
+    st.path = "out" + std::to_string(plan.size());
+    st.inputs = {v};
+    plan.add(std::move(st));
+  };
+  const std::size_t loads = 1 + rng.next_below(3);
+  for (std::size_t i = 0; i < loads; ++i) {
+    dataflow::OpNode n;
+    n.kind = OpKind::kLoad;
+    n.path = "in" + std::to_string(i);
+    sizes[n.path] = 1 + rng.next_below(1u << 20);
+    live.push_back(plan.add(std::move(n)));
+  }
+  const std::size_t ops = 4 + rng.next_below(16);
+  for (std::size_t i = 0; i < ops; ++i) {
+    dataflow::OpNode n;
+    if (rng.chance(0.35)) {
+      n.kind = kFanIn[rng.next_below(3)];
+      // JOIN and COGROUP are binary; UNION takes 2-3 inputs.
+      const std::size_t arity =
+          n.kind == OpKind::kUnion ? 2 + rng.next_below(2) : 2;
+      for (std::size_t k = 0; k < arity; ++k) {
+        n.inputs.push_back(live[rng.next_below(live.size())]);
+      }
+    } else {
+      n.kind = kUnary[rng.next_below(6)];
+      n.inputs.push_back(live[rng.next_below(live.size())]);
+    }
+    live.push_back(plan.add(std::move(n)));
+    if (rng.chance(0.15)) store(live.back());
+  }
+  store(live.back());
+  return plan;
+}
+
+TEST(MarkerReferenceTest, RandomFanInDagsMatchReference) {
+  Rng rng(1709);
+  std::map<OpKind, std::size_t> fan_ins;
+  std::size_t self_reads = 0;
+  for (int i = 0; i < 240; ++i) {
+    std::map<std::string, std::uint64_t> sizes;
+    const LogicalPlan plan = random_dag(rng, sizes);
+    for (const dataflow::OpNode& n : plan.nodes()) {
+      if (n.inputs.size() < 2) continue;
+      ++fan_ins[n.kind];
+      if (std::set<OpId>(n.inputs.begin(), n.inputs.end()).size() <
+          n.inputs.size()) {
+        ++self_reads;
+      }
+    }
+    expect_matches_reference(plan, sizes, "dag " + std::to_string(i));
+  }
+  // The sweep must exercise every fan-in kind and repeated inputs.
+  EXPECT_GT(fan_ins[OpKind::kJoin], 0u);
+  EXPECT_GT(fan_ins[OpKind::kUnion], 0u);
+  EXPECT_GT(fan_ins[OpKind::kCogroup], 0u);
+  EXPECT_GT(self_reads, 0u);
+}
+
 // ---- checkpoint cost model -----------------------------------------------
 
 struct CompiledDag {
@@ -203,7 +381,9 @@ TEST(CheckpointModelTest, EstimatesPassInputBytesThrough) {
   }
   // The final store consumes everything: its estimate is the total.
   for (const mapreduce::MRJobSpec& spec : c.dag.jobs) {
-    if (spec.is_final_store) EXPECT_EQ(est[spec.job_index], total_in);
+    if (spec.is_final_store) {
+      EXPECT_EQ(est[spec.job_index], total_in);
+    }
   }
 }
 

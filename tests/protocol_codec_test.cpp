@@ -3,7 +3,8 @@
 // identical bytes and an equal value; every truncated prefix and a sweep
 // of single-byte corruptions are rejected (or decode to some well-formed
 // message) without crashing — the control tier must survive a byzantine
-// computation tier flipping bits on the wire. Runs under the asan-ubsan
+// computation tier flipping bits on the wire. One fixed frame per type
+// is pinned byte for byte, checksum included. Runs under the asan-ubsan
 // preset too, where any out-of-bounds read in the decoder is fatal.
 #include <gtest/gtest.h>
 
@@ -315,6 +316,196 @@ TEST(ProtocolCodecTest, ResealedTamperingStillFacesDeepValidation) {
     const auto back = decode(b);
     ASSERT_TRUE(back.has_value());
     EXPECT_NE(std::get<CancelRun>(*back).run, 42u);
+  }
+}
+
+/// One fixed instance of each message type (variant index), with every
+/// field set to a distinct non-zero value so each lands somewhere in the
+/// frame.
+Message pinned_message(std::size_t type) {
+  switch (type) {
+    case 0: {
+      SubmitRun m;
+      m.run = 0x0102030405060708u;
+      m.session = 3;
+      m.program = 77;
+      m.job_index = 2;
+      m.replica = 1;
+      m.input_paths = {Text{"twitter/edges"}, Text{"s#1/j0/out"}};
+      m.output_path = "s#1/j1/r1";
+      m.avoid = {4, 9};
+      m.restrict_to = {1025};
+      m.max_nodes = 6;
+      m.urgent = 1;
+      m.cloud = 1;
+      return m;
+    }
+    case 1:
+      return CancelRun{41};
+    case 2: {
+      ProbeRequest m;
+      m.probe = 5;
+      m.run_suspect = 17;
+      m.run_control = 18;
+      m.input_path = "in/a";
+      m.suspect_path = "probe/s";
+      m.control_path = "probe/c";
+      m.suspect = 3;
+      m.avoid = {3, 7};
+      return m;
+    }
+    case 3:
+      return AddNodes{2, 4, 12, 1};
+    case 4:
+      return DrainNode{6};
+    case 5:
+      return NodeAnnounce{1024, 3, 1, 1250};
+    case 6:
+      return NodeDrained{6};
+    case 7:
+      return NodeStatus{19, 2};
+    case 8: {
+      Heartbeat m;
+      m.run = 19;
+      m.node = 2;
+      m.reduce = 1;
+      m.cpu_seconds = 1.5;
+      m.file_read = 4096;
+      m.file_write = 512;
+      m.digested = 300;
+      m.seq = 8;
+      return m;
+    }
+    case 9: {
+      DigestBatch m;
+      m.run = 19;
+      m.node = 2;
+      mapreduce::DigestReport r;
+      r.key.sid = "s#1/j1";
+      r.key.vertex = 5;
+      r.key.reduce_side = true;
+      r.key.branch = 1;
+      r.key.partition = 3;
+      r.key.chunk = 2;
+      r.replica = 1;
+      for (std::size_t i = 0; i < r.digest.bytes.size(); ++i) {
+        r.digest.bytes[i] = static_cast<std::uint8_t>(0xa0 + i);
+      }
+      r.record_count = 250;
+      m.reports = {r};
+      m.seq = 9;
+      return m;
+    }
+    case 10:
+      return RunComplete{19, Text{"s#1/j1/r1"}, 2048, 12};
+    case 11:
+      return ProbeReply{5, 17, Text{"probe/s"}};
+    case 12:
+      return ReadmitNode{6};
+    case 13:
+      return NodeReadmitted{6};
+    default:
+      ADD_FAILURE() << "unknown type " << type;
+      return CancelRun{};
+  }
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+/// Reference CRC-32 (IEEE, reflected 0xEDB88320), one bit at a time,
+/// over the ranges the envelope seals: [4, 12) and [16, size).
+std::uint32_t bitwise_frame_crc(const std::vector<std::uint8_t>& frame) {
+  std::uint32_t state = 0xFFFFFFFFu;
+  for (std::size_t i = 4; i < frame.size(); ++i) {
+    if (i >= 12 && i < 16) continue;
+    state ^= frame[i];
+    for (int b = 0; b < 8; ++b) {
+      state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1u)));
+    }
+  }
+  return ~state;
+}
+
+TEST(ProtocolCodecTest, FrameBytesArePinned) {
+  // The wire format — header, payload layout and the sealed CRC-32 at
+  // [12, 16) — is fixed by these frames. A faster checksum or encoder
+  // must reproduce every byte: journals store inbound frames verbatim,
+  // so a drift would also change journal bytes.
+  const char* const kFrames[kNumTypes] = {
+      // SubmitRun
+      "5446424305000100890000007ffdf71508070605040302010300000000000000"
+      "4d0000000000000002000000000000000100000000000000020000000d000000"
+      "747769747465722f65646765730a0000007323312f6a302f6f75740900000073"
+      "23312f6a312f7231020000000400000000000000090000000000000001000000"
+      "01040000000000000600000000000000010100000000000000",
+      // CancelRun
+      "5446424305000200080000006d5db9972900000000000000",
+      // ProbeRequest
+      "544642430500030052000000a53f2cb405000000000000001100000000000000"
+      "120000000000000004000000696e2f610700000070726f62652f730700000070"
+      "726f62652f630300000000000000020000000300000000000000070000000000"
+      "0000",
+      // AddNodes
+      "544642430500040020000000879321ee02000000000000000400000000000000"
+      "0c000000000000000100000000000000",
+      // DrainNode
+      "544642430500050008000000578722d20600000000000000",
+      // NodeAnnounce
+      "544642430500060020000000ecb359ec00040000000000000300000000000000"
+      "0100000000000000e204000000000000",
+      // NodeDrained
+      "544642430500070008000000fa434c330600000000000000",
+      // NodeStatus
+      "5446424305000800100000006c31ad9f13000000000000000200000000000000",
+      // Heartbeat
+      "5446424305000900390000000172094613000000000000000200000000000000"
+      "01000000000000f83f001000000000000000020000000000002c010000000000"
+      "000800000000000000",
+      // DigestBatch
+      "5446424305000a00770000004cede06b13000000000000000200000000000000"
+      "090000000000000001000000060000007323312f6a3105000000000000000101"
+      "00000000000000030000000000000002000000000000000100000000000000a0"
+      "a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebffa"
+      "00000000000000",
+      // RunComplete
+      "5446424305000b00250000005f9c6d1a1300000000000000090000007323312f"
+      "6a312f723100080000000000000c00000000000000",
+      // ProbeReply
+      "5446424305000c001b000000a34f2f2405000000000000001100000000000000"
+      "0700000070726f62652f73",
+      // ReadmitNode
+      "5446424305000d000800000061997be10600000000000000",
+      // NodeReadmitted
+      "5446424305000e0008000000babc1a9d0600000000000000",
+  };
+  for (std::size_t type = 0; type < kNumTypes; ++type) {
+    const auto bytes = encode(pinned_message(type));
+    EXPECT_EQ(hex(bytes), kFrames[type]) << "type " << type;
+    // The sealed field (little-endian u32 at [12, 16)) is the bitwise
+    // CRC-32 of [4, 12) and the payload.
+    ASSERT_GE(bytes.size(), 16u);
+    const std::uint32_t sealed =
+        static_cast<std::uint32_t>(bytes[12]) |
+        static_cast<std::uint32_t>(bytes[13]) << 8 |
+        static_cast<std::uint32_t>(bytes[14]) << 16 |
+        static_cast<std::uint32_t>(bytes[15]) << 24;
+    EXPECT_EQ(sealed, bitwise_frame_crc(bytes)) << "type " << type;
+    ASSERT_TRUE(decode(bytes).has_value()) << "type " << type;
+    // A flipped CRC field must still fail the integrity check.
+    for (std::size_t pos = 12; pos < 16; ++pos) {
+      auto b = bytes;
+      b[pos] ^= 0x01;
+      EXPECT_FALSE(decode(b).has_value())
+          << "type " << type << " crc byte " << pos;
+    }
   }
 }
 

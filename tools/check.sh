@@ -61,6 +61,14 @@
 #                                otherwise; with clang++ installed it
 #                                also type-checks the thread-safety
 #                                annotations (-Werror=thread-safety)
+#   tools/check.sh --perf-compare <rev>
+#                                end-to-end wall-clock comparison of
+#                                <rev> against the working tree:
+#                                tools/perf_pairs.py (10 alternating
+#                                perfbench pairs) on every BENCHMARK.json
+#                                workload; fails if any run fails a
+#                                script or any change median is worse
+#                                than the parent's by more than its bound
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -242,6 +250,29 @@ case "$MODE" in
     echo "check.sh: analyze gate OK"
     ;;
 
+  --perf-compare)
+    REV="${2:-}"
+    [ -n "$REV" ] || {
+      echo "usage: tools/check.sh --perf-compare <rev>" >&2; exit 2; }
+    command -v python3 >/dev/null 2>&1 || {
+      echo "--perf-compare requires python3" >&2; exit 2; }
+    workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+      "$ROOT/BENCHMARK.json")
+    # Every workload runs even after one fails; the worst exit code wins
+    # (1 = regression or failed scripts, 2 = a run produced no result).
+    worst=0
+    for w in $workloads; do
+      echo "== perf compare: $w, $REV vs working tree =="
+      rc=0
+      python3 "$ROOT/tools/perf_pairs.py" --parent "$REV" --workload "$w" ||
+        rc=$?
+      [ "$rc" -gt "$worst" ] && worst=$rc
+    done
+    [ "$worst" -eq 0 ] && echo "check.sh: perf compare OK"
+    exit "$worst"
+    ;;
+
   --fast|full)
     echo "== normal preset: configure + build =="
     cmake -S "$ROOT" -B "$ROOT/build"
@@ -268,7 +299,7 @@ case "$MODE" in
     ;;
 
   *)
-    echo "usage: tools/check.sh [--fast|--asan-smoke|--tsan-smoke|--bench-compare|--chaos|--frontend|--multicloud|--parity|--analyze]" >&2
+    echo "usage: tools/check.sh [--fast|--asan-smoke|--tsan-smoke|--bench-compare|--chaos|--frontend|--multicloud|--parity|--analyze|--perf-compare <rev>]" >&2
     exit 2
     ;;
 esac
