@@ -11,8 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "baseline/presets.hpp"
 #include "core/controller.hpp"
+#include "core/journal.hpp"
+#include "crypto/sha256.hpp"
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
 #include "protocol/seam.hpp"
@@ -38,11 +44,11 @@ struct World {
   std::unique_ptr<ClusterBft> controller;
   std::map<std::string, Relation> inputs;
 
-  explicit World(TrackerConfig cfg = {}) {
+  explicit World(TrackerConfig cfg = {}, Journal* journal = nullptr) {
     tracker = std::make_unique<ExecutionTracker>(sim, dfs, cfg);
     seam = std::make_unique<protocol::LoopbackSeam>(*tracker);
     controller = std::make_unique<ClusterBft>(sim, dfs, seam->transport,
-                                              seam->programs);
+                                              seam->programs, journal);
   }
 
   void load_weather() {
@@ -261,6 +267,102 @@ TEST(CheckpointTest, AdaptiveWithCheckpointsVerifiesUnderFault) {
   EXPECT_TRUE(res.verified);
   EXPECT_GT(res.metrics.escalations, 0u);
   w.expect_outputs_match_interpreter(req, res);
+}
+
+/// SHA-256 over the framed bytes of every journal record, in order.
+std::string journal_digest_hex(const Journal& journal) {
+  crypto::Sha256 h;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const std::vector<std::uint8_t> bytes =
+        Journal::encode_record(journal.at(i));
+    h.update(bytes.data(), bytes.size());
+  }
+  return crypto::to_hex(h.finalize());
+}
+
+/// Every ScriptMetrics field (doubles at full precision), the verdict and
+/// fault counts, and a digest over the verified fingerprints by sid.
+std::string pinned_line(const ScriptResult& r) {
+  const ScriptMetrics& m = r.metrics;
+  std::string fps;
+  for (const auto& [sid, hex] : r.verified_digest_hex) {
+    fps += sid + "=" + hex + "\n";
+  }
+  char line[512];
+  std::snprintf(
+      line, sizeof line,
+      "verified=%d latency=%.17g cpu=%.17g read=%llu write=%llu hdfs=%llu "
+      "digested=%llu runs=%zu waves=%zu rollbacks=%zu reports=%zu hits=%zu "
+      "ckpts=%zu ckpt_bytes=%llu escalations=%zu failovers=%zu "
+      "commission=%zu omission=%zu fps=%s",
+      r.verified ? 1 : 0, m.latency_s, m.cpu_seconds,
+      static_cast<unsigned long long>(m.file_read),
+      static_cast<unsigned long long>(m.file_write),
+      static_cast<unsigned long long>(m.hdfs_write),
+      static_cast<unsigned long long>(m.digested), m.runs, m.waves,
+      m.rollbacks, m.digest_reports, m.cache_hits, m.checkpoints,
+      static_cast<unsigned long long>(m.checkpoint_bytes), m.escalations,
+      m.cloud_failovers, r.commission_faults_seen, r.omission_faults_seen,
+      crypto::Digest256::of(fps).hex().c_str());
+  return line;
+}
+
+TEST(CheckpointTest, MaterialiseAdoptAndScopedRestartArePinned) {
+  // Fault-free weather twice on one journaled controller (the first run
+  // materialises, the second adopts), then airline under a node whose
+  // every task lies (scoped restart waves from the checkpoints). Each
+  // result, the journal bytes and the audit transcript are fixed by
+  // these values.
+  Journal clean_journal;
+  World clean({}, &clean_journal);
+  clean.load_weather();
+  const auto weather = checkpointed(baseline::cluster_bft(
+      workloads::weather_average_analysis(), "ckpt", 1, 2, 2));
+  const ScriptResult materialised = clean.controller->execute(weather);
+  const ScriptResult adopted = clean.controller->execute(weather);
+  ASSERT_TRUE(materialised.verified);
+  ASSERT_TRUE(adopted.verified);
+  clean.expect_outputs_match_interpreter(weather, adopted);
+
+  TrackerConfig cfg;
+  cfg.policies[5] = AdversaryPolicy{.commission_prob = 1.0};
+  Journal faulty_journal;
+  World faulty(cfg, &faulty_journal);
+  faulty.load_airline();
+  const auto airline = checkpointed(baseline::cluster_bft(
+      workloads::airline_top20_analysis(), "ckpt", 1, 2, 2));
+  const ScriptResult restarted = faulty.controller->execute(airline);
+  ASSERT_TRUE(restarted.verified);
+  faulty.expect_outputs_match_interpreter(airline, restarted);
+
+  EXPECT_EQ(pinned_line(materialised),
+            "verified=1 latency=3.0494300000000005 cpu=17.889863999999999 "
+            "read=164198 write=81632 hdfs=3118 digested=84750 runs=4 "
+            "waves=2 rollbacks=0 reports=24 hits=0 ckpts=1 ckpt_bytes=1216 "
+            "escalations=0 failovers=0 commission=0 omission=0 fps="
+            "448c3f27ffbd85076e349f818228f7fbfeeb38f195c159f27f3a4485425c0c45");
+  EXPECT_EQ(pinned_line(adopted),
+            "verified=1 latency=3.0494300000000294 cpu=17.889863999999999 "
+            "read=164198 write=81632 hdfs=3118 digested=84750 runs=4 "
+            "waves=2 rollbacks=0 reports=24 hits=0 ckpts=1 ckpt_bytes=0 "
+            "escalations=0 failovers=0 commission=0 omission=0 fps="
+            "0efe984bce1d3c553566d050321839cb758d9120d62384d4d8c9fd9aa380fe9f");
+  EXPECT_EQ(pinned_line(restarted),
+            "verified=1 latency=8.139088000000001 cpu=136.80526099999997 "
+            "read=1900736 write=495254 hdfs=355569 digested=77144 runs=20 "
+            "waves=4 rollbacks=1 reports=58 hits=0 ckpts=2 ckpt_bytes=1192 "
+            "escalations=0 failovers=0 commission=2 omission=0 fps="
+            "078b32a1e416b46425c57fb9aa94b7b43a0260f318ad2b586904b1d6d789e6c7");
+  EXPECT_EQ(journal_digest_hex(clean_journal),
+            "2bfa84a78b53ae16060ae33d2f92a6a379edd64b5e488b9664f778d852b90262");
+  EXPECT_EQ(journal_digest_hex(faulty_journal),
+            "3d32b926a3d77985c9e1e16944b2c899dc1e7a5fd54a0f24b51dd3d68bfc95d4");
+  EXPECT_EQ(
+      crypto::Digest256::of(clean.controller->audit_log().to_string()).hex(),
+      "0773e3d690bf3a76696890e38dd0c28d2f26496d68582e17d09836df2cd5f0c5");
+  EXPECT_EQ(
+      crypto::Digest256::of(faulty.controller->audit_log().to_string()).hex(),
+      "804e9ca63213e97a8505e1dbc6c383dbf1ca5b29eea3c4ba776890d313042387");
 }
 
 }  // namespace

@@ -12,9 +12,9 @@
 //    and what it was waiting on;
 //  * the front end's WRR admission respects tenant caps and reports
 //    service metrics;
-//  * on a 300-request stream every ticket's verdict and finish time and
-//    the service metrics are pinned, and one collect sweep collects in
-//    ticket order.
+//  * on a 300-request stream every ticket's verdict and finish time, the
+//    service metrics, the journal bytes and the audit transcript are
+//    pinned, and one collect sweep collects in ticket order.
 #include "frontend/frontend.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +32,7 @@
 #include "core/journal.hpp"
 #include "core/result_cache.hpp"
 #include "crypto/digest.hpp"
+#include "crypto/sha256.hpp"
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
 #include "protocol/seam.hpp"
@@ -394,6 +395,17 @@ std::vector<Collected> collection_order(const core::Journal& journal) {
   return out;
 }
 
+/// SHA-256 over the framed bytes of every journal record, in order.
+std::string journal_digest_hex(const core::Journal& journal) {
+  crypto::Sha256 h;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const std::vector<std::uint8_t> bytes =
+        core::Journal::encode_record(journal.at(i));
+    h.update(bytes.data(), bytes.size());
+  }
+  return crypto::to_hex(h.finalize());
+}
+
 TEST(FrontendTest, MixedStreamServiceMetricsArePinned) {
   // A 300-request stream through the front end, cache on: every ticket's
   // finish time and verdict and the whole ServiceMetrics are fixed by
@@ -459,6 +471,13 @@ TEST(FrontendTest, MixedStreamServiceMetricsArePinned) {
   EXPECT_EQ(m.p99_latency_s, 40.91380199999999);
   EXPECT_EQ(m.requests_per_s, 7.0967935456649824);
   EXPECT_EQ(m.cache_hits, 379u);
+
+  // Every byte the controller journaled and every audit line it wrote:
+  // cache adoptions, verifications and finishes may not move either.
+  EXPECT_EQ(journal_digest_hex(journal),
+            "225aecf3873afdeaeb97af2af8c14a6047f51bd2a1a9b59eaa0801d7cde8a015");
+  EXPECT_EQ(crypto::Digest256::of(w.controller->audit_log().to_string()).hex(),
+            "80abc5286f43a6d07ef9b97e9bbbdf9d1896efe218305d2d4637b0191c6dbf01");
 }
 
 TEST(FrontendTest, PerRequestResultsMatchInterpreter) {
