@@ -23,12 +23,7 @@ using namespace clusterbft::bench;
 
 namespace {
 
-struct Outcome {
-  frontend::ServiceMetrics service;
-  std::size_t cache_insertions = 0;
-};
-
-Outcome run_stream(std::size_t clients, bool use_cache) {
+frontend::ServiceMetrics run_stream(std::size_t clients, bool use_cache) {
   World w(paper_cluster());
   // Modest per-script inputs: the subject under test is the service
   // layer (admission, queueing, cache adoption), not map-task fan-out.
@@ -55,45 +50,44 @@ Outcome run_stream(std::size_t clients, bool use_cache) {
   }
   fe.run();
 
-  Outcome out;
-  out.service = fe.metrics();
-  out.cache_insertions = w.controller->cache_stats().insertions;
-  if (out.service.completed != out.service.submitted) {
+  const frontend::ServiceMetrics out = fe.metrics();
+  if (out.completed != out.submitted) {
     std::fprintf(stderr,
                  "FATAL: %zu of %zu requests failed verification\n",
-                 out.service.failed, out.service.submitted);
+                 out.failed, out.submitted);
     std::exit(1);
   }
   return out;
 }
 
 void report(BenchJson& sink, const char* tag, std::size_t clients,
-            const Outcome& off, const Outcome& on) {
+            const frontend::ServiceMetrics& off,
+            const frontend::ServiceMetrics& on) {
   const double speedup =
-      on.service.requests_per_s / off.service.requests_per_s;
+      on.requests_per_s / off.requests_per_s;
   std::printf("  %5zu clients  cache off: %7.2f req/sim_s  p50 %6.1fs  "
               "p99 %6.1fs\n",
-              clients, off.service.requests_per_s, off.service.p50_latency_s,
-              off.service.p99_latency_s);
+              clients, off.requests_per_s, off.p50_latency_s,
+              off.p99_latency_s);
   std::printf("  %5s          cache on : %7.2f req/sim_s  p50 %6.1fs  "
               "p99 %6.1fs  (%zu adoptions, %.2fx)\n",
-              "", on.service.requests_per_s, on.service.p50_latency_s,
-              on.service.p99_latency_s, on.service.cache_hits, speedup);
+              "", on.requests_per_s, on.p50_latency_s,
+              on.p99_latency_s, on.cache_hits, speedup);
 
-  sink.add(std::string(tag) + "_rps_cache_off", off.service.requests_per_s,
+  sink.add(std::string(tag) + "_rps_cache_off", off.requests_per_s,
            "req_per_sim_s");
-  sink.add(std::string(tag) + "_rps_cache_on", on.service.requests_per_s,
+  sink.add(std::string(tag) + "_rps_cache_on", on.requests_per_s,
            "req_per_sim_s");
-  sink.add(std::string(tag) + "_p50_cache_off", off.service.p50_latency_s,
+  sink.add(std::string(tag) + "_p50_cache_off", off.p50_latency_s,
            "sim_s");
-  sink.add(std::string(tag) + "_p99_cache_off", off.service.p99_latency_s,
+  sink.add(std::string(tag) + "_p99_cache_off", off.p99_latency_s,
            "sim_s");
-  sink.add(std::string(tag) + "_p50_cache_on", on.service.p50_latency_s,
+  sink.add(std::string(tag) + "_p50_cache_on", on.p50_latency_s,
            "sim_s");
-  sink.add(std::string(tag) + "_p99_cache_on", on.service.p99_latency_s,
+  sink.add(std::string(tag) + "_p99_cache_on", on.p99_latency_s,
            "sim_s");
   sink.add(std::string(tag) + "_cache_hits",
-           static_cast<double>(on.service.cache_hits), "count");
+           static_cast<double>(on.cache_hits), "count");
   sink.add(std::string(tag) + "_cache_speedup", speedup, "x");
 
   if (speedup < 1.5) {
@@ -116,8 +110,8 @@ int main() {
               "50%% verbatim repeats, r=2 f=1, 8 concurrent sessions\n\n");
 
   for (const std::size_t clients : {std::size_t{1000}, std::size_t{10000}}) {
-    const Outcome off = run_stream(clients, /*use_cache=*/false);
-    const Outcome on = run_stream(clients, /*use_cache=*/true);
+    const auto off = run_stream(clients, /*use_cache=*/false);
+    const auto on = run_stream(clients, /*use_cache=*/true);
     report(sink, clients == 1000 ? "c1k" : "c10k", clients, off, on);
   }
 

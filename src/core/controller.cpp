@@ -120,7 +120,8 @@ ScriptResult ClusterBft::execute(const ClientRequest& request) {
     // script never durably existed.
     throw ControllerCrashed(journal_ == nullptr ? 0 : journal_->size());
   }
-  return drive_and_collect(*s);
+  drive();
+  return collect(*s);
 }
 
 std::size_t ClusterBft::begin_session(const ClientRequest& request) {
@@ -144,11 +145,7 @@ bool ClusterBft::session_finished(std::size_t session) const {
 
 std::size_t ClusterBft::active_sessions() const {
   const common::RoleGuard held(common::scheduler_thread_role);
-  std::size_t active = 0;
-  for (const auto& s : sessions_) {
-    if (!s->finished) ++active;
-  }
-  return active;
+  return unfinished_;
 }
 
 std::size_t ClusterBft::healthy_pool_size() const {
@@ -208,32 +205,27 @@ void ClusterBft::note_cloud_alive(std::size_t run_id) {
   }
 }
 
-ResultCache::Stats ClusterBft::cache_stats() const {
+VerifiedStore::Stats ClusterBft::store_stats() const {
   const common::RoleGuard held(common::scheduler_thread_role);
-  return result_cache_.stats();
-}
-
-CheckpointStore::Stats ClusterBft::checkpoint_stats() const {
-  const common::RoleGuard held(common::scheduler_thread_role);
-  return checkpoints_.stats();
+  return store_.stats();
 }
 
 void ClusterBft::drive_all() {
   const common::RoleGuard held(common::scheduler_thread_role);
   if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
-  for (;;) {
-    bool any_active = false;
-    for (const auto& s : sessions_) {
-      if (!s->finished) {
-        any_active = true;
-        break;
-      }
-    }
-    if (!any_active || crashed_ || !sim_.step()) break;
+  drive();
+}
+
+void ClusterBft::drive() {
+  while (unfinished_ > 0 && !crashed_ && sim_.step()) {
   }
-  for (const auto& s : sessions_) {
-    if (!crashed_ && !s->finished) mark_stalled(*s);
+  // Queue drained without completing (e.g. everything stuck and no
+  // timeout pending): report failure with diagnostics.
+  if (unfinished_ > 0) {
+    for (const auto& s : sessions_) mark_stalled(*s);
   }
+  // Let in-flight replicas and stale timeouts drain so their cost is
+  // accounted and the simulator is clean for the next script.
   while (!crashed_ && sim_.step()) {
   }
   if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
@@ -241,10 +233,7 @@ void ClusterBft::drive_all() {
 
 void ClusterBft::fail_stalled_sessions() {
   const common::RoleGuard held(common::scheduler_thread_role);
-  if (crashed_) return;
-  for (const auto& s : sessions_) {
-    if (!s->finished) mark_stalled(*s);
-  }
+  for (const auto& s : sessions_) mark_stalled(*s);
 }
 
 ScriptResult ClusterBft::collect_session(std::size_t session) {
@@ -255,16 +244,7 @@ ScriptResult ClusterBft::collect_session(std::size_t session) {
   ScriptSession& s = *sessions_[session - 1];
   CBFT_CHECK_MSG(s.finished, "collect_session: session still in flight");
   CBFT_CHECK_MSG(!s.collected, "collect_session: already collected");
-  ScriptResult result = collect_result(s);
-  if (!s.finish_journaled) {
-    if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                          RecordKind::kScriptFinish, {})) {
-      throw ControllerCrashed(journal_ ? journal_->size() : 0);
-    }
-    s.finish_journaled = true;
-  }
-  s.collected = true;
-  return result;
+  return collect(s);
 }
 
 ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
@@ -317,12 +297,10 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
   s.job_timeout_s.assign(jobs, request.verifier_timeout_s);
   s.cache_key.assign(jobs, crypto::Digest256{});
   s.cache_ok.assign(jobs, false);
-  s.cache_adopted.assign(jobs, false);
   s.wave_skip.assign(jobs, false);
   s.contributors.assign(jobs, {});
   s.verified_fp_hex.assign(jobs, "");
   s.ckpt_selected.assign(jobs, false);
-  s.checkpointed.assign(jobs, false);
   for (const MRJobSpec& j : s.dag.jobs) {
     s.job_by_output[j.output_path] = j.job_index;
   }
@@ -343,14 +321,14 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
     for (std::uint64_t n = 0; n < cp_.cluster_size(); ++n) {
       prior = std::max(prior, cp_.suspicion(n));
     }
-    s.ckpt_selected =
-        select_checkpoints(s.dag, input_sizes, s.pipeline_depth, gating,
-                           prior, request.checkpoint_budget_bytes)
-            .selected;
+    s.ckpt_selected = select_checkpoints(s.dag, input_sizes, s.pipeline_depth,
+                                         gating, prior)
+                          .selected;
   }
 
   s.id = sessions_.size() + 1;
   sessions_.push_back(std::move(owned));
+  ++unfinished_;
   ScriptSession& ss = *sessions_.back();
 
   // Write-ahead: the session's existence is the first thing that survives
@@ -371,9 +349,9 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
                     std::to_string(ss.dag.jobs.size()) + " jobs)",
                 "", {}, ss.scope);
 
-  // Checkpoint keys are the cache keys: the checkpoint store is content-
+  // Cache hits and checkpoints share one key: the store is content-
   // addressed by the same "same sub-plan, same inputs, same policy"
-  // digest even when the result cache itself is off.
+  // digest whichever switch is on.
   if (ss.request.use_result_cache || ss.request.adaptive_checkpoints) {
     compute_cache_keys(ss);
   }
@@ -391,36 +369,6 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
     if (crashed_ || ss.finished) break;
   }
   return &ss;
-}
-
-ScriptResult ClusterBft::drive_and_collect(ScriptSession& s) {
-  // ---- drive the simulation ----
-  while (!s.finished && !crashed_ && sim_.step()) {
-  }
-  if (!crashed_ && !s.finished) {
-    // Queue drained without completing (e.g. everything stuck and no
-    // timeout pending): report failure with diagnostics.
-    mark_stalled(s);
-  }
-  // Let in-flight replicas and stale timeouts drain so their cost is
-  // accounted and the simulator is clean for the next script.
-  while (!crashed_ && sim_.step()) {
-  }
-  if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
-
-  ScriptResult result = collect_result(s);
-  // The finish record closes this session's recovery window. A crash
-  // between collect_result and this append replays back to the finished
-  // state and collects again — promotion is idempotent.
-  if (!s.finish_journaled) {
-    if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                          RecordKind::kScriptFinish, {})) {
-      throw ControllerCrashed(journal_ ? journal_->size() : 0);
-    }
-    s.finish_journaled = true;
-  }
-  s.collected = true;
-  return result;
 }
 
 void ClusterBft::mark_stalled(ScriptSession& s) {
@@ -466,7 +414,7 @@ void ClusterBft::mark_stalled(ScriptSession& s) {
   finish(s, false);
 }
 
-ScriptResult ClusterBft::collect_result(ScriptSession& s) {
+ScriptResult ClusterBft::collect(ScriptSession& s) {
   ScriptResult result;
   result.metrics.waves = s.waves.size();
   for (std::size_t run : s.my_runs) {
@@ -534,6 +482,17 @@ ScriptResult ClusterBft::collect_result(ScriptSession& s) {
                     ", " + std::to_string(result.metrics.runs) +
                     " job replicas",
                 "", {}, s.scope);
+  // The finish record closes this session's recovery window. A crash
+  // between the promotion above and this append replays back to the
+  // finished state and collects again — promotion is idempotent.
+  if (!s.finish_journaled) {
+    if (!journal_decision(static_cast<std::uint32_t>(s.id),
+                          RecordKind::kScriptFinish, {})) {
+      throw ControllerCrashed(journal_ ? journal_->size() : 0);
+    }
+    s.finish_journaled = true;
+  }
+  s.collected = true;
   return result;
 }
 
@@ -603,39 +562,12 @@ std::vector<ScriptResult> ClusterBft::recover_all(
     session_for[i] = s->id;
   }
 
-  // ---- drive every session to completion ----
-  for (;;) {
-    bool any_active = false;
-    for (const auto& s : sessions_) {
-      if (!s->finished) {
-        any_active = true;
-        break;
-      }
-    }
-    if (!any_active || crashed_ || !sim_.step()) break;
-  }
-  for (const auto& s : sessions_) {
-    if (!crashed_ && !s->finished) mark_stalled(*s);
-  }
-  while (!crashed_ && sim_.step()) {
-  }
-  if (crashed_) throw ControllerCrashed(journal_->size());
-
-  // ---- collect in request order ----
+  // ---- drive every session to completion, collect in request order ----
+  drive();
   std::vector<ScriptResult> out;
   out.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ScriptSession& s = *sessions_[session_for[i] - 1];
-    ScriptResult result = collect_result(s);
-    if (!s.finish_journaled) {
-      if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                            RecordKind::kScriptFinish, {})) {
-        throw ControllerCrashed(journal_->size());
-      }
-      s.finish_journaled = true;
-    }
-    s.collected = true;
-    out.push_back(std::move(result));
+  for (const std::size_t id : session_for) {
+    out.push_back(collect(*sessions_[id - 1]));
   }
   return out;
 }
@@ -892,11 +824,10 @@ void ClusterBft::apply_probe_outcome(std::uint64_t suspect,
     if (fault_analyzer_) {
       fault_analyzer_->observe({static_cast<NodeId>(suspect)});
     }
-    // A convicted contributor poisons every cached result and checkpoint
-    // it helped produce (deterministic under replay: kProbeOutcome is a
-    // journaled stimulus).
-    result_cache_.invalidate_node(static_cast<NodeId>(suspect));
-    checkpoints_.invalidate_node(static_cast<NodeId>(suspect));
+    // A convicted contributor poisons every verified result it helped
+    // produce (deterministic under replay: kProbeOutcome is a journaled
+    // stimulus).
+    store_.invalidate_node(static_cast<NodeId>(suspect));
   }
 }
 
@@ -1080,8 +1011,6 @@ void ClusterBft::create_wave(ScriptSession& s,
   }
   Wave w;
   w.replica = s.waves.size();
-  w.created_at = now();
-  w.scope_job = scope_job;
   w.cloud = cloud;
   w.failover = failover;
   w.includes.resize(s.dag.jobs.size());
@@ -1429,22 +1358,22 @@ void ClusterBft::try_verify(ScriptSession& s, std::size_t j) {
                           RecordKind::kVerifyDecision, wr.take())) {
       return;
     }
+    const std::size_t ref = decision->majority_runs.front();
+    // Majority runs are complete, so the agreed fingerprint exists.
+    const auto fp = s.verifier->completed_fingerprint(spec.sid, ref);
+    CBFT_CHECK(fp.has_value());
     s.verified[j] = true;
-    s.verified_path[j] = cp_.run_output_path(decision->majority_runs.front());
-    s.verified_ref_run[j] = decision->majority_runs.front();
-    if (const auto fp = s.verifier->completed_fingerprint(
-            spec.sid, decision->majority_runs.front())) {
-      s.verified_fp_hex[j] = fp->hex();
-    }
+    s.verified_path[j] = cp_.run_output_path(ref);
+    s.verified_ref_run[j] = ref;
+    s.verified_fp_hex[j] = fp->hex();
     audit_.record(now(), AuditEvent::Kind::kJobVerified,
                   spec.sid + " (" +
                       std::to_string(decision->majority_runs.size()) +
                       " agreeing replicas)",
                   spec.sid, {}, s.scope);
     compute_contributors(s, j, decision->majority_runs);
-    maybe_checkpoint(s, j, decision->majority_runs);
+    store_verified(s, j, *fp);
     if (crashed_) return;
-    cache_store_verified(s, j, decision->majority_runs);
     attribute_commission(s, decision->deviant_runs);
     // Downstream jobs of a deviant chain may already be running on (or
     // have finished with) the corrupted output — the price of pipelining.
@@ -1616,14 +1545,11 @@ void ClusterBft::attribute_commission(
     }
     fault_analyzer_->set_f(std::max<std::size_t>(1, s.request.f));
     fault_analyzer_->observe(nodes);
-    // Every cached result and checkpoint a now-convicted node contributed
-    // to is suspect: drop them so no future session adopts tainted
-    // evidence. The checkpoint bytes stay on the DFS (in-flight readers
-    // hold the old paths); only the adoptable index entries go.
-    for (NodeId n : nodes) {
-      result_cache_.invalidate_node(n);
-      checkpoints_.invalidate_node(n);
-    }
+    // Every verified result a now-convicted node contributed to is
+    // suspect: drop it so no future session adopts tainted evidence. The
+    // checkpoint bytes stay on the DFS (in-flight readers hold the old
+    // paths); only the adoptable entries go.
+    for (NodeId n : nodes) store_.invalidate_node(n);
   }
 }
 
@@ -1757,16 +1683,20 @@ void ClusterBft::check_completion(ScriptSession& s) {
 void ClusterBft::finish(ScriptSession& s, bool success) {
   if (s.finished) return;
   s.finished = true;
+  --unfinished_;
   s.success = success;
   s.finish_time = now();
 }
 
-// ---- verified-result cache ----------------------------------------------
+// ---- verified-result reuse ----------------------------------------------
 
 crypto::Digest256 ClusterBft::input_digest(const std::string& path) {
-  const std::uint64_t size = dfs_.size_of(path);
+  // Keyed on the write generation, not the size: a rewrite that keeps
+  // the canonical size (one id swapped for another of the same width)
+  // is still new content.
+  const std::uint64_t generation = dfs_.generation_of(path);
   const auto it = input_digest_memo_.find(path);
-  if (it != input_digest_memo_.end() && it->second.first == size) {
+  if (it != input_digest_memo_.end() && it->second.first == generation) {
     return it->second.second;
   }
   // Canonical content digest: sorted rows, canonical tuple serialisation.
@@ -1782,7 +1712,7 @@ crypto::Digest256 ClusterBft::input_digest(const std::string& path) {
     h.update("\x1e");  // record separator
   }
   const crypto::Digest256 d{h.finalize()};
-  input_digest_memo_[path] = {size, d};
+  input_digest_memo_[path] = {generation, d};
   return d;
 }
 
@@ -1842,11 +1772,11 @@ void ClusterBft::compute_cache_keys(ScriptSession& s) {
 void ClusterBft::adopt_cache_hits(ScriptSession& s) {
   for (std::size_t j = 0; j < s.dag.jobs.size(); ++j) {
     if (!s.cache_ok[j]) continue;
-    const ResultCache::Entry* e = result_cache_.lookup(s.cache_key[j]);
-    if (e == nullptr) continue;
+    const VerifiedStore::Entry* e =
+        store_.lookup(s.cache_key[j], VerifiedStore::Reuse::kCacheHit);
     // The materialised relation must still exist — a hit adopts data,
     // not just evidence.
-    if (!dfs_.exists(e->output_path)) continue;
+    if (e == nullptr || !dfs_.exists(e->path)) continue;
     common::WireWriter wr;
     wr.u64(j);
     wr.raw(s.cache_key[j].bytes.data(), s.cache_key[j].bytes.size());
@@ -1855,11 +1785,11 @@ void ClusterBft::adopt_cache_hits(ScriptSession& s) {
       return;
     }
     s.verified[j] = true;
-    s.verified_path[j] = e->output_path;
-    s.cache_adopted[j] = true;
+    s.verified_path[j] = e->path;
     s.verified_fp_hex[j] = e->fingerprint.hex();
     s.contributors[j] = e->contributors;
     ++s.cache_hits;
+    store_.adopted(VerifiedStore::Reuse::kCacheHit);
     audit_.record(now(), AuditEvent::Kind::kCacheHit,
                   s.dag.jobs[j].sid +
                       " adopted verified result from cache (key " +
@@ -1895,8 +1825,8 @@ void ClusterBft::compute_contributors(
     const std::vector<std::size_t>& majority_runs) {
   // Contributors: every node whose corruption could have influenced this
   // verified result — the majority runs' fault clusters plus the
-  // contributors of every verified/adopted dependency. Both the result
-  // cache and the checkpoint store key their invalidation on this set.
+  // contributors of every verified/adopted dependency. A store entry's
+  // invalidation keys on this set.
   std::set<NodeId> contrib;
   for (std::size_t run : majority_runs) {
     const FaultAnalyzer::NodeSet nodes = cluster_of(s, run);
@@ -1908,73 +1838,54 @@ void ClusterBft::compute_contributors(
   s.contributors[j] = std::move(contrib);
 }
 
-void ClusterBft::cache_store_verified(
-    ScriptSession& s, std::size_t j,
-    const std::vector<std::size_t>& majority_runs) {
-  if (!s.request.use_result_cache || !s.cache_ok[j]) return;
-  const auto fp =
-      s.verifier->completed_fingerprint(s.dag.jobs[j].sid,
-                                        majority_runs.front());
-  if (!fp) return;
-  ResultCache::Entry entry;
-  entry.fingerprint = *fp;
-  entry.output_path = s.verified_path[j];
-  entry.contributors = s.contributors[j];
-  result_cache_.insert(s.cache_key[j], std::move(entry));
-}
-
-void ClusterBft::maybe_checkpoint(
-    ScriptSession& s, std::size_t j,
-    const std::vector<std::size_t>& majority_runs) {
-  if (!s.request.adaptive_checkpoints || crashed_) return;
-  if (!s.ckpt_selected[j]) return;
-  // The checkpoint key is the cache key: jobs whose key chain broke (an
-  // unresolvable dependency) cannot be content-addressed.
+void ClusterBft::store_verified(ScriptSession& s, std::size_t j,
+                                const crypto::Digest256& fp) {
+  // Jobs whose key chain broke (an unresolvable dependency) cannot be
+  // content-addressed.
   if (!s.cache_ok[j]) return;
   const crypto::Digest256& key = s.cache_key[j];
-  const CheckpointStore::Entry* existing = checkpoints_.lookup(key);
-  const bool adopt = existing != nullptr && dfs_.exists(existing->path);
-  common::WireWriter wr;
-  wr.u64(j);
-  wr.u8(adopt ? 0 : 1);
-  wr.raw(key.bytes.data(), key.bytes.size());
-  if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                        RecordKind::kCheckpoint, wr.take())) {
-    return;
-  }
-  if (adopt) {
-    // The same logical relation was already materialised durably (by an
-    // earlier session, or an earlier incarnation of this one): repoint
-    // the verified path at the durable copy instead of rewriting it.
-    s.verified_path[j] = existing->path;
-    checkpoints_.adopted();
-  } else {
-    // Materialise the freshly verified relation at its content address.
-    // Idempotent under replay: the same key always rewrites the same
-    // bytes, so a crash anywhere around this write recovers cleanly.
-    const std::string path = "ckpt/" + key.hex();
-    dataflow::Relation rel = dfs_.read(s.verified_path[j]);
-    dfs_.write(path, rel);
-    CheckpointStore::Entry entry;
-    if (const auto fp = s.verifier->completed_fingerprint(
-            s.dag.jobs[j].sid, majority_runs.front())) {
-      entry.fingerprint = *fp;
+  if (s.request.adaptive_checkpoints && s.ckpt_selected[j]) {
+    const VerifiedStore::Entry* existing =
+        store_.lookup(key, VerifiedStore::Reuse::kCheckpoint);
+    const bool adopt = existing != nullptr && dfs_.exists(existing->path);
+    common::WireWriter wr;
+    wr.u64(j);
+    wr.u8(adopt ? 0 : 1);
+    wr.raw(key.bytes.data(), key.bytes.size());
+    if (!journal_decision(static_cast<std::uint32_t>(s.id),
+                          RecordKind::kCheckpoint, wr.take())) {
+      return;
     }
-    entry.path = path;
-    entry.bytes = dfs_.size_of(path);
-    entry.contributors = s.contributors[j];
-    s.checkpoint_bytes += entry.bytes;
-    s.verified_path[j] = path;
-    checkpoints_.insert(key, std::move(entry));
+    if (adopt) {
+      // The same logical relation was already materialised durably (by
+      // an earlier session, or an earlier incarnation of this one):
+      // repoint the verified path at the durable copy instead of
+      // rewriting it.
+      s.verified_path[j] = existing->path;
+      store_.adopted(VerifiedStore::Reuse::kCheckpoint);
+    } else {
+      // Materialise the freshly verified relation at its content
+      // address. Idempotent under replay: the same key always rewrites
+      // the same bytes, so a crash anywhere around this write recovers
+      // cleanly.
+      const std::string path = "ckpt/" + key.hex();
+      dfs_.write(path, dfs_.read(s.verified_path[j]));
+      const std::uint64_t bytes = dfs_.size_of(path);
+      s.checkpoint_bytes += bytes;
+      s.verified_path[j] = path;
+      store_.insert(key, {fp, path, s.contributors[j], true, bytes});
+    }
+    ++s.checkpoints;
+    audit_.record(now(), AuditEvent::Kind::kCheckpoint,
+                  s.dag.jobs[j].sid +
+                      (adopt ? " adopted checkpoint (key "
+                             : " checkpointed verified relation (key ") +
+                      key.hex().substr(0, 12) + ")",
+                  s.dag.jobs[j].sid, {}, s.scope);
   }
-  ++s.checkpoints;
-  s.checkpointed[j] = true;
-  audit_.record(now(), AuditEvent::Kind::kCheckpoint,
-                s.dag.jobs[j].sid +
-                    (adopt ? " adopted checkpoint (key "
-                           : " checkpointed verified relation (key ") +
-                    key.hex().substr(0, 12) + ")",
-                s.dag.jobs[j].sid, {}, s.scope);
+  if (s.request.use_result_cache) {
+    store_.insert(key, {fp, s.verified_path[j], s.contributors[j]});
+  }
 }
 
 }  // namespace clusterbft::core

@@ -6,15 +6,15 @@
 //
 // Multi-tenant model: the controller is the SHARED substrate — pool
 // membership, suspicion mirror, fault analyzer, transport, journal,
-// timers, and the digest-keyed verified-result cache. Everything that
+// timers, and the digest-keyed verified-result store. Everything that
 // belongs to one script lives in a core::ScriptSession (core/session.hpp)
 // and N sessions multiplex concurrently through the one event loop:
 // inbound digests and completions route to the owning session by run id,
 // timers carry their session, and journal records are namespaced by a
 // session field so crash-recovery replays a *set* of in-flight scripts
 // bit-identically. `execute()` remains the one-shot convenience
-// (begin_session + drive + collect); the front end (src/frontend) uses
-// the session API directly to keep many scripts in flight.
+// (begin + drive + collect); the front end (src/frontend) uses the
+// session API directly to keep many scripts in flight.
 //
 // Execution model per script:
 //  * the script is parsed, analysed (verification points) and compiled to
@@ -41,16 +41,19 @@
 //  * the script is done when every final STORE job is verified; one
 //    verified replica's output is promoted to the plain store path.
 //
-// Verified-result cache (ClientRequest::use_result_cache): every job's
-// sub-graph is keyed by (canonical logical-plan fingerprint, LOAD input
-// content digests, r-policy), composed recursively through dependency
-// keys. When a key matches an earlier *verified* sub-graph, the session
-// adopts the cached digest-vector fingerprint and materialised relation
+// Verified-result reuse (core/verified_store.hpp): every job's sub-graph
+// is keyed by (canonical logical-plan fingerprint, LOAD input content
+// digests, r-policy), composed recursively through dependency keys. With
+// ClientRequest::use_result_cache, a key that matches an earlier
+// *verified* sub-graph adopts its digest-vector fingerprint and relation
 // instead of re-running it — journaled as kCacheHit, audited as a
-// cache-hit event, and counted in ScriptMetrics::cache_hits. Convicting
+// cache-hit event, and counted in ScriptMetrics::cache_hits. With
+// ClientRequest::adaptive_checkpoints, a cost-model-selected job's
+// verified relation is materialised durably under the same key (or an
+// existing durable copy adopted) — journaled as kCheckpoint. Convicting
 // a node that contributed to an entry (commission attribution or a probe
 // conviction) invalidates every dependent entry; both conviction paths
-// are journaled stimuli, so the cache replays deterministically.
+// are journaled stimuli, so the store replays deterministically.
 //
 // Durability and crash-recovery (core/journal.hpp): when constructed over
 // a Journal, the controller writes a typed record for every stimulus
@@ -90,12 +93,11 @@
 #include "common/guarded.hpp"
 #include "common/thread_pool.hpp"
 #include "core/audit.hpp"
-#include "core/checkpoint.hpp"
 #include "core/fault_analyzer.hpp"
 #include "core/journal.hpp"
 #include "core/request.hpp"
-#include "core/result_cache.hpp"
 #include "core/session.hpp"
+#include "core/verified_store.hpp"
 #include "core/verifier.hpp"
 #include "dataflow/plan.hpp"
 #include "mapreduce/compiler.hpp"
@@ -150,7 +152,7 @@ class ClusterBft {
   /// script is finished on return.
   std::size_t begin_session(const ClientRequest& request);
   bool session_finished(std::size_t session) const;
-  /// Sessions begun and not yet finished.
+  /// Sessions begun and not yet finished (a counter, not a scan).
   std::size_t active_sessions() const;
   /// Drive the event loop until every active session finished (or the
   /// queue drains: remaining sessions fail as kStalled with diagnostics).
@@ -171,8 +173,9 @@ class ClusterBft {
   /// is attached, so single-cloud admission is unchanged. Read-only —
   /// the front end weighs aggregate demand against it.
   std::size_t placement_capacity(const ClientRequest& request) const;
-  ResultCache::Stats cache_stats() const;
-  CheckpointStore::Stats checkpoint_stats() const;
+  /// Counters of the shared verified-result store (cache hits and
+  /// checkpoints alike).
+  VerifiedStore::Stats store_stats() const;
 
   /// The fault analyzer persists across scripts so isolation sharpens
   /// over a workload (§4.3). Null until the first fault was observed.
@@ -225,19 +228,23 @@ class ClusterBft {
     cluster::SimTime deadline = 0;
   };
 
-  // Script lifecycle (execute = begin_script + drive_and_collect;
-  // recover = replay + resync + drive_and_collect). Every private step
-  // declares the scheduler-thread capability: under clang -Wthread-safety
-  // a pool payload (or any async path) calling into controller state
-  // without the role is a compile error.
+  // Script lifecycle (execute = begin_script + drive + collect; recover =
+  // replay + resync + drive + collect). Every private step declares the
+  // scheduler-thread capability: under clang -Wthread-safety a pool
+  // payload (or any async path) calling into controller state without
+  // the role is a compile error.
   /// Create + admit a session. Returns null when the crash point fired
   /// on the session's kScriptStart append (the session never durably
   /// existed).
   ScriptSession* begin_script(const ClientRequest& request)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
-  ScriptResult drive_and_collect(ScriptSession& s)
-      CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
-  ScriptResult collect_result(ScriptSession& s)
+  /// Step the event loop until no session is unfinished; if the queue
+  /// drains first, the unfinished sessions fail as kStalled. Then drain
+  /// stragglers. Throws ControllerCrashed when a crash point fired.
+  void drive() CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
+  /// Result of a finished session: promote its outputs, journal its
+  /// kScriptFinish (once), mark it collected. Throws ControllerCrashed.
+  ScriptResult collect(ScriptSession& s)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   void replay_record(
       const JournalRecord& rec,
@@ -287,7 +294,7 @@ class ClusterBft {
   void finish(ScriptSession& s, bool success)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
 
-  // Verified-result cache.
+  // Verified-result reuse.
   /// Fill s.cache_key / s.cache_ok for every job (pure function of the
   /// plan structure, LOAD input content, and r-policy).
   void compute_cache_keys(ScriptSession& s)
@@ -297,27 +304,23 @@ class ClusterBft {
   void adopt_cache_hits(ScriptSession& s)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   /// Content digest of a LOAD input (canonical row serialisation),
-  /// memoized by (path, size).
+  /// memoized by (path, DFS write generation).
   crypto::Digest256 input_digest(const std::string& path)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   /// Fill s.contributors[job] — the majority runs' fault clusters plus
-  /// every dependency's contributors; the invalidation set both the
-  /// result cache and the checkpoint store key entries on.
+  /// every dependency's contributors; the set a store entry's
+  /// invalidation keys on.
   void compute_contributors(ScriptSession& s, std::size_t job,
                             const std::vector<std::size_t>& majority_runs)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
-  /// Record contributors / fingerprint for a freshly verified job and
-  /// insert the sub-graph into the cache when eligible.
-  void cache_store_verified(ScriptSession& s, std::size_t job,
-                            const std::vector<std::size_t>& majority_runs)
-      CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
-  /// Adaptive checkpointing: when the cost model selected `job`, journal
-  /// a kCheckpoint record and either materialise the freshly verified
-  /// relation to the content-addressed store or adopt the bytes an
-  /// earlier session already checkpointed under the same key, then
-  /// repoint verified_path[job] at the durable copy.
-  void maybe_checkpoint(ScriptSession& s, std::size_t job,
-                        const std::vector<std::size_t>& majority_runs)
+  /// Offer a freshly verified job (agreed fingerprint `fp`) to the store.
+  /// When the cost model selected it for a checkpoint, journal kCheckpoint
+  /// and either adopt a durable entry under its key or materialise the
+  /// relation to `ckpt/<key-hex>`, repointing verified_path[job] at the
+  /// durable copy. With the result cache on, insert the (possibly
+  /// repointed) result as a non-durable entry.
+  void store_verified(ScriptSession& s, std::size_t job,
+                      const crypto::Digest256& fp)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
 
   // Journal / crash plumbing.
@@ -433,6 +436,9 @@ class ClusterBft {
   // registry and tracker hold pointers into each session's plan/dag, and
   // a straggling replica of a finished session may still complete.
   std::vector<std::unique_ptr<ScriptSession>> sessions_ CBFT_SCHED;
+  /// Sessions begun (begin_script) and not yet finished (finish): what
+  /// drive() waits on, without a per-step scan of sessions_.
+  std::size_t unfinished_ CBFT_SCHED = 0;
   /// Run id -> owning session id (routing for inbound events).
   std::map<std::size_t, std::size_t> session_of_run_ CBFT_SCHED;
   /// Executions per request name (admission-order-independent serials).
@@ -452,14 +458,11 @@ class ClusterBft {
   /// until any of their traffic arrives again.
   std::set<std::uint64_t> clouds_down_ CBFT_SCHED;
 
-  // Verified-result cache (shared across sessions and tenants).
-  ResultCache result_cache_ CBFT_SCHED;
-  /// Checkpoint store: durable verified intermediate relations, shared
-  /// across sessions like the cache and invalidated on the same
-  /// conviction paths.
-  CheckpointStore checkpoints_ CBFT_SCHED;
-  /// LOAD input content digests, memoized by path while the size is
-  /// unchanged.
+  // Verified results (cache entries and checkpoints), shared across
+  // sessions and tenants.
+  VerifiedStore store_ CBFT_SCHED;
+  /// LOAD input content digests, memoized by path while the file's DFS
+  /// write generation is unchanged.
   std::map<std::string, std::pair<std::uint64_t, crypto::Digest256>>
       input_digest_memo_ CBFT_SCHED;
 #undef CBFT_SCHED

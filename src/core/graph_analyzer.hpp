@@ -80,15 +80,14 @@ struct CheckpointPlacement {
 /// checkpointed — against a write cost of est_bytes[j] scaled by how much
 /// cheaper serialising a byte is than recomputing it. Candidates are the
 /// `gating` jobs (internal verification points; final stores are promoted
-/// anyway); winners are taken by descending net saving under
-/// `budget_bytes` (0 = unlimited). Deterministic: pure function of its
-/// inputs, so replayed begin_script calls re-derive the same placement.
+/// anyway); every candidate with a positive net saving is selected.
+/// Deterministic: pure function of its inputs, so replayed begin_script
+/// calls re-derive the same placement.
 CheckpointPlacement select_checkpoints(
     const mapreduce::JobDag& dag,
     const std::map<std::string, std::uint64_t>& input_sizes,
     const std::vector<std::size_t>& pipeline_depth,
-    const std::vector<bool>& gating, double suspicion_prior,
-    std::uint64_t budget_bytes);
+    const std::vector<bool>& gating, double suspicion_prior);
 
 /// What the placement policy knows about one cloud — a pure-value
 /// snapshot of the membership mirror, so the ordering stays a pure

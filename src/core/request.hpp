@@ -137,16 +137,12 @@ struct ClientRequest {
   Assurance assurance = Assurance::kStatic;
 
   /// Adaptive checkpointing: materialise cost-model-selected verified
-  /// intermediate relations to the content-addressed checkpoint store
-  /// (journaled kCheckpoint), and scope rerun/escalation waves to the
-  /// unverified-ancestor closure of the disagreeing job — restart from
-  /// the nearest verified checkpoint instead of the chain inputs.
+  /// intermediate relations as durable, content-addressed entries of the
+  /// verified-result store (journaled kCheckpoint), and scope rerun/
+  /// escalation waves to the unverified-ancestor closure of the
+  /// disagreeing job — restart from the nearest verified checkpoint
+  /// instead of the chain inputs.
   bool adaptive_checkpoints = false;
-
-  /// Byte budget for checkpoint materialisation per script (estimated
-  /// output bytes of the selected jobs; 0 = unlimited). The placement
-  /// pass spends it on the highest expected-rework savings first.
-  std::uint64_t checkpoint_budget_bytes = 0;
 
   /// Multi-cloud replica placement policy (see Placement). Irrelevant —
   /// and bit-identical to the old behaviour — when only one cloud is

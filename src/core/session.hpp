@@ -6,8 +6,8 @@
 // concurrent scripts through ONE controller event loop, so everything
 // that belongs to a single script now lives here. The controller keeps
 // only the shared substrate — pool membership, suspicion, fault
-// analyzer, transport mirror, journal, timers, result cache — and routes
-// every inbound event to the owning session by run id.
+// analyzer, transport mirror, journal, timers, verified-result store —
+// and routes every inbound event to the owning session by run id.
 //
 // Identity: a session's `scope` is "<request name>#<per-name serial>".
 // The serial counts executions of the same request *name* (not global
@@ -41,13 +41,10 @@ namespace clusterbft::core {
 struct ScriptSession {
   struct Wave {
     std::size_t replica = 0;
-    cluster::SimTime created_at = 0;
-    std::vector<bool> includes;                       ///< per job
+    /// Per job; a scoped rerun/escalation wave (adaptive_checkpoints)
+    /// includes only the disputed job's unverified-ancestor closure.
+    std::vector<bool> includes;
     std::vector<std::optional<std::size_t>> run_of;   ///< per job
-    /// Scoped rerun/escalation wave (adaptive_checkpoints): the job whose
-    /// unverified-ancestor closure this wave re-executes. Full waves
-    /// (initial replicas, non-adaptive reruns) carry nullopt.
-    std::optional<std::size_t> scope_job;
     /// Cloud this wave's runs are placed in (ISSUE 10); 0 when only one
     /// cloud is attached, which keeps the single-cloud path
     /// bit-identical.
@@ -134,21 +131,20 @@ struct ScriptSession {
   std::size_t omission_seen = 0;
   std::size_t digest_reports = 0;
 
-  // ---- verified-result cache bookkeeping (request.use_result_cache) ----
-  /// Per job: the sub-graph cache key — SHA-256 over (canonical logical-
-  /// plan fingerprint of the job and its upstream structure, content
-  /// digests of the LOAD inputs, r-policy). Composed recursively through
-  /// dep keys, so equal keys mean equal verified results.
+  // ---- verified-result store bookkeeping (use_result_cache or
+  // adaptive_checkpoints) ----
+  /// Per job: the sub-graph key — SHA-256 over (canonical logical-plan
+  /// fingerprint of the job and its upstream structure, content digests
+  /// of the LOAD inputs, r-policy). Composed recursively through dep
+  /// keys, so equal keys mean equal verified results.
   std::vector<crypto::Digest256> cache_key;
   /// Per job: key well-defined (topological deps; defensive).
   std::vector<bool> cache_ok;
-  /// Per job: adopted from the cache (counted in metrics.cache_hits).
-  std::vector<bool> cache_adopted;
   /// Per job: skip in every wave — all consumers were adopted from the
   /// cache, so the job's output is never needed.
   std::vector<bool> wave_skip;
-  /// Per job: nodes whose conviction invalidates this sub-graph's cached
-  /// result (the majority runs' fault clusters plus dep contributors).
+  /// Per job: nodes whose conviction invalidates this sub-graph's store
+  /// entry (the majority runs' fault clusters plus dep contributors).
   std::vector<std::set<cluster::NodeId>> contributors;
   /// Per job: hex fingerprint of the verified digest vector (evidence a
   /// cache hit must reproduce byte-identically).
@@ -157,11 +153,9 @@ struct ScriptSession {
 
   // ---- adaptive checkpointing (request.adaptive_checkpoints) ----
   /// Per job: selected by the graph analyzer's cost model — when this
-  /// job verifies, its relation is materialised to (or adopted from)
-  /// the checkpoint store.
+  /// job verifies, its relation is materialised to (or adopted from) a
+  /// durable store entry.
   std::vector<bool> ckpt_selected;
-  /// Per job: checkpoint committed (verified_path points at the store).
-  std::vector<bool> checkpointed;
   std::size_t checkpoints = 0;            ///< metrics.checkpoints
   std::uint64_t checkpoint_bytes = 0;     ///< metrics.checkpoint_bytes
   std::size_t escalations = 0;            ///< metrics.escalations

@@ -27,6 +27,7 @@ void Dfs::write(const std::string& path, dataflow::Relation rel) {
     f.byte_size += row_bytes;
   }
   f.split_bytes.push_back(in_block);
+  f.generation = ++writes_;
   f.rel = std::move(rel);
   metrics_.bytes_written += f.byte_size;
   files_[path] = std::move(f);
@@ -46,6 +47,10 @@ const dataflow::Relation& Dfs::read(const std::string& path) {
 
 std::uint64_t Dfs::size_of(const std::string& path) const {
   return file_at(path).byte_size;
+}
+
+std::uint64_t Dfs::generation_of(const std::string& path) const {
+  return file_at(path).generation;
 }
 
 std::size_t Dfs::num_splits(const std::string& path) const {

@@ -50,6 +50,10 @@ class Dfs {
   /// Size in canonical bytes without accounting a read.
   std::uint64_t size_of(const std::string& path) const;
 
+  /// Write generation of `path`: stamped from a DFS-wide counter by every
+  /// write(), so a rewrite reads as new content even at an unchanged size.
+  std::uint64_t generation_of(const std::string& path) const;
+
   /// Number of map splits `path` yields (>= 1 for non-empty files).
   std::size_t num_splits(const std::string& path) const;
 
@@ -71,11 +75,13 @@ class Dfs {
     std::vector<std::size_t> split_starts;
     /// Canonical bytes of each split, sized by write() in the same pass.
     std::vector<std::uint64_t> split_bytes;
+    std::uint64_t generation = 0;
   };
 
   const File& file_at(const std::string& path) const;
 
   std::uint64_t block_size_;
+  std::uint64_t writes_ = 0;
   std::map<std::string, File> files_;
   DfsMetrics metrics_;
 };

@@ -11,9 +11,9 @@ void ChaosTransport::send(Message m, bool up) {
   const bool is_digest = std::holds_alternative<DigestBatch>(m);
 
   // Draw-order discipline: drop, [digest drop], delay, duplicate,
-  // [duplicate delay] exactly as the legacy LossyTransport, then the
-  // chaos draws (reorder, corrupt) gated on their probabilities being
-  // non-zero so legacy seeded streams are reproduced bit-for-bit.
+  // [duplicate delay], then the chaos draws (reorder, corrupt) gated on
+  // their probabilities being non-zero, so a zero-chaos config keeps the
+  // plain lossy-link seeded streams bit-for-bit.
   if (link_drop_or_blackout(is_digest)) {
     ++dropped_;
     return;

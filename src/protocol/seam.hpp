@@ -13,7 +13,6 @@
 #include "cluster/tracker.hpp"
 #include "protocol/chaos.hpp"
 #include "protocol/loopback.hpp"
-#include "protocol/lossy.hpp"
 #include "protocol/registry.hpp"
 #include "protocol/service.hpp"
 
@@ -41,8 +40,5 @@ struct ChaosSeam {
       : transport(tracker.sim(), cfg),
         service(tracker, transport, programs) {}
 };
-
-/// Legacy name from before the lossy transport grew the chaos faults.
-using LossySeam = ChaosSeam;
 
 }  // namespace clusterbft::protocol

@@ -10,9 +10,10 @@
 //  - LoopbackTransport (loopback.hpp): synchronous, zero-copy, no codec.
 //    The default seam — everything observable stays bit-identical to the
 //    old direct-call wiring.
-//  - LossyTransport (lossy.hpp): encodes every message through the codec
+//  - ChaosTransport (chaos.hpp): encodes every message through the codec
 //    and ships it via the simulated network's link model (drop/duplicate/
-//    delay/reorder). What a deployment against a real network would see.
+//    delay) plus adversarial reorder and corruption. What a deployment
+//    against a real, hostile network would see.
 //
 // Payload lifetime contract: a delivered Message may carry borrowed Text
 // fields pointing into the transport's frame buffer (the codec's

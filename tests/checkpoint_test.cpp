@@ -1,13 +1,15 @@
-// Adaptive checkpointing + dynamic replication degree.
+// Verified-result store, adaptive checkpointing + dynamic replication
+// degree.
 //
-// Covers the checkpoint store in isolation (content-addressed entries,
-// adoption, conviction invalidation) and the controller integration: the
-// cost model materialises verified mid-chain relations, later sessions
-// adopt them, scoped restart waves re-execute only the unverified
-// ancestor closure, and adaptive assurance launches f+1 chains and
-// escalates only on fault evidence — with every verified output
-// bit-identical to the reference interpreter.
-#include "core/checkpoint.hpp"
+// Covers the store in isolation (first insert wins, a durable entry
+// replaces a non-durable one, which entries each lever may adopt,
+// conviction invalidation) and the controller integration: the cost
+// model materialises verified mid-chain relations, later sessions adopt
+// them — also across the cache and checkpoint switches — scoped restart
+// waves re-execute only the unverified ancestor closure, and adaptive
+// assurance launches f+1 chains and escalates only on fault evidence —
+// with every verified output bit-identical to the reference interpreter.
+#include "core/verified_store.hpp"
 
 #include <gtest/gtest.h>
 
@@ -86,43 +88,57 @@ crypto::Digest256 key_of(std::uint8_t seed) {
   return d;
 }
 
-TEST(CheckpointStoreTest, InsertLookupAdoptInvalidate) {
-  CheckpointStore store;
+TEST(VerifiedStoreTest, FirstWinsDurableReplacesAndConvictionInvalidates) {
+  using Reuse = VerifiedStore::Reuse;
   const common::RoleGuard held(common::scheduler_thread_role);
-  EXPECT_EQ(store.lookup(key_of(1)), nullptr);
+  VerifiedStore store;
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit), nullptr);
 
-  CheckpointStore::Entry e;
-  e.path = "ckpt/aa";
-  e.bytes = 100;
-  e.contributors = {2, 5};
-  store.insert(key_of(1), e);
-  e.path = "ckpt/bb";
-  e.contributors = {7};
-  store.insert(key_of(2), e);
+  const crypto::Digest256 fp = crypto::Digest256::of("fp");
+  store.insert(key_of(1), {fp, "wave/a", {0, 1, 2}});
+  // A dependent entry inherits its dependency's contributors.
+  store.insert(key_of(2), {fp, "wave/b", {0, 1, 2, 3}});
+  store.insert(key_of(3), {fp, "ckpt/cc", {4, 5}, true, 100});
 
-  const CheckpointStore::Entry* got = store.lookup(key_of(1));
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->path, "ckpt/aa");
-  EXPECT_EQ(store.stats().writes, 2u);
-  EXPECT_EQ(store.stats().bytes_written, 200u);
+  // First insert wins: a second non-durable result under a key must not
+  // churn the path (the key determines the bytes).
+  store.insert(key_of(1), {fp, "wave/a2", {7}});
+  ASSERT_NE(store.lookup(key_of(1), Reuse::kCacheHit), nullptr);
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit)->path, "wave/a");
+  // A cache hit takes any entry; a checkpoint only a durable one.
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCheckpoint), nullptr);
+  const VerifiedStore::Entry* durable =
+      store.lookup(key_of(3), Reuse::kCheckpoint);
+  ASSERT_NE(durable, nullptr);
+  EXPECT_EQ(durable->path, "ckpt/cc");
+  EXPECT_EQ(durable->bytes, 100u);
+  EXPECT_EQ(store.lookup(key_of(3), Reuse::kCacheHit), durable);
 
-  // First insert wins: a re-derived entry for the same content address
-  // must not clobber the original (same bytes by construction).
-  CheckpointStore::Entry dup;
-  dup.path = "ckpt/other";
-  store.insert(key_of(1), dup);
-  EXPECT_EQ(store.lookup(key_of(1))->path, "ckpt/aa");
-  EXPECT_EQ(store.stats().writes, 2u);
+  // A durable entry replaces a non-durable one, and is never replaced.
+  store.insert(key_of(2), {fp, "ckpt/bb", {0, 1, 2, 3}, true, 50});
+  ASSERT_NE(store.lookup(key_of(2), Reuse::kCheckpoint), nullptr);
+  EXPECT_EQ(store.lookup(key_of(2), Reuse::kCacheHit)->path, "ckpt/bb");
+  store.insert(key_of(2), {fp, "ckpt/other", {9}, true, 50});
+  store.insert(key_of(2), {fp, "wave/b2", {9}});
+  EXPECT_EQ(store.lookup(key_of(2), Reuse::kCacheHit)->path, "ckpt/bb");
 
-  store.adopted();
-  EXPECT_EQ(store.stats().adoptions, 1u);
+  EXPECT_EQ(store.stats().insertions, 4u) << "ignored inserts must not count";
+  EXPECT_EQ(store.stats().durable_writes, 2u);
+  store.adopted(Reuse::kCacheHit);
+  store.adopted(Reuse::kCheckpoint);
+  store.adopted(Reuse::kCheckpoint);
+  EXPECT_EQ(store.stats().cache_hits, 1u);
+  EXPECT_EQ(store.stats().checkpoint_adoptions, 2u);
 
-  // Convicting node 5 drops exactly the entries it contributed to.
-  EXPECT_EQ(store.invalidate_node(5), 1u);
-  EXPECT_EQ(store.lookup(key_of(1)), nullptr);
-  ASSERT_NE(store.lookup(key_of(2)), nullptr);
-  EXPECT_EQ(store.stats().invalidated, 1u);
-  EXPECT_EQ(store.invalidate_node(5), 0u);
+  // Convict node 2: entry 1 and its dependent entry 2 (durable or not)
+  // die, entry 3 survives.
+  EXPECT_EQ(store.invalidate_node(2), 2u);
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit), nullptr);
+  EXPECT_EQ(store.lookup(key_of(2), Reuse::kCacheHit), nullptr);
+  ASSERT_NE(store.lookup(key_of(3), Reuse::kCacheHit), nullptr);
+  // Convicting a non-contributor is a no-op.
+  EXPECT_EQ(store.invalidate_node(2), 0u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 ClientRequest checkpointed(ClientRequest req) {
@@ -147,9 +163,9 @@ TEST(CheckpointTest, FaultFreeRunMaterialisesSelectedRelations) {
   // the verified relation landed at its content address.
   EXPECT_GT(res.metrics.checkpoints, 0u);
   EXPECT_GT(res.metrics.checkpoint_bytes, 0u);
-  const auto stats = w.controller->checkpoint_stats();
-  EXPECT_EQ(stats.writes, res.metrics.checkpoints);
-  EXPECT_EQ(stats.adoptions, 0u);
+  const auto stats = w.controller->store_stats();
+  EXPECT_EQ(stats.durable_writes, res.metrics.checkpoints);
+  EXPECT_EQ(stats.checkpoint_adoptions, 0u);
 }
 
 TEST(CheckpointTest, SecondSessionAdoptsExistingCheckpoint) {
@@ -159,7 +175,7 @@ TEST(CheckpointTest, SecondSessionAdoptsExistingCheckpoint) {
       workloads::weather_average_analysis(), "ckpt", 1, 2, 2));
   const auto first = w.controller->execute(req);
   ASSERT_TRUE(first.verified);
-  const auto writes = w.controller->checkpoint_stats().writes;
+  const auto writes = w.controller->store_stats().durable_writes;
   ASSERT_GT(writes, 0u);
 
   // Same script, same inputs, same policy — same content address. The
@@ -168,9 +184,73 @@ TEST(CheckpointTest, SecondSessionAdoptsExistingCheckpoint) {
   const auto second = w.controller->execute(req);
   EXPECT_TRUE(second.verified);
   w.expect_outputs_match_interpreter(req, second);
-  const auto stats = w.controller->checkpoint_stats();
-  EXPECT_EQ(stats.writes, writes);
-  EXPECT_GT(stats.adoptions, 0u);
+  const auto stats = w.controller->store_stats();
+  EXPECT_EQ(stats.durable_writes, writes);
+  EXPECT_GT(stats.checkpoint_adoptions, 0u);
+}
+
+ClientRequest cached(ClientRequest req) {
+  req.use_result_cache = true;
+  return req;
+}
+
+TEST(CheckpointTest, CacheSessionAdoptsACheckpointOnlySessionsCheckpoint) {
+  // One controller, the same script with different switches: the cache
+  // takes any verified entry whose relation exists, so a cache-on
+  // session adopts what a checkpoint-only session materialised durably.
+  World w;
+  w.load_weather();
+  const auto base = baseline::cluster_bft(
+      workloads::weather_average_analysis(), "mixed", 1, 2, 2);
+  const auto first = w.controller->execute(checkpointed(base));
+  ASSERT_TRUE(first.verified);
+  w.expect_outputs_match_interpreter(base, first);
+  ASSERT_GT(first.metrics.checkpoints, 0u);
+  EXPECT_EQ(first.metrics.cache_hits, 0u);
+
+  const auto second = w.controller->execute(cached(base));
+  ASSERT_TRUE(second.verified);
+  w.expect_outputs_match_interpreter(base, second);
+  EXPECT_EQ(second.metrics.cache_hits, first.metrics.checkpoints)
+      << "every durable entry is a cache hit";
+  EXPECT_LT(second.metrics.runs, first.metrics.runs);
+  EXPECT_EQ(second.metrics.checkpoints, 0u);
+  const auto stats = w.controller->store_stats();
+  EXPECT_EQ(stats.cache_hits, second.metrics.cache_hits);
+  EXPECT_EQ(stats.checkpoint_adoptions, 0u);
+}
+
+TEST(CheckpointTest, CheckpointSessionMaterialisesOverACacheOnlyEntry) {
+  // The reverse order: a cache entry points at a run's wave-scoped
+  // output, which is not durable, so a checkpoint-only session writes
+  // its own `ckpt/` copy (replacing the entry) instead of adopting.
+  // A later cache-on session then adopts through the durable entry.
+  World w;
+  w.load_weather();
+  const auto base = baseline::cluster_bft(
+      workloads::weather_average_analysis(), "mixed", 1, 2, 2);
+  const auto first = w.controller->execute(cached(base));
+  ASSERT_TRUE(first.verified);
+  w.expect_outputs_match_interpreter(base, first);
+  EXPECT_EQ(first.metrics.checkpoints, 0u);
+  const auto cache_only = w.controller->store_stats();
+  EXPECT_EQ(cache_only.durable_writes, 0u);
+
+  const auto second = w.controller->execute(checkpointed(base));
+  ASSERT_TRUE(second.verified);
+  w.expect_outputs_match_interpreter(base, second);
+  ASSERT_GT(second.metrics.checkpoints, 0u);
+  EXPECT_GT(second.metrics.checkpoint_bytes, 0u) << "materialised, not adopted";
+  EXPECT_EQ(second.metrics.cache_hits, 0u);
+  const auto stats = w.controller->store_stats();
+  EXPECT_EQ(stats.durable_writes, second.metrics.checkpoints);
+  EXPECT_EQ(stats.checkpoint_adoptions, 0u);
+  EXPECT_EQ(stats.insertions, cache_only.insertions + stats.durable_writes);
+
+  const auto third = w.controller->execute(cached(base));
+  ASSERT_TRUE(third.verified);
+  w.expect_outputs_match_interpreter(base, third);
+  EXPECT_GT(third.metrics.cache_hits, 0u);
 }
 
 TEST(CheckpointTest, CommissionFaultStillVerifiesWithScopedRestarts) {

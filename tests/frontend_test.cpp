@@ -4,6 +4,8 @@
 // The load-bearing claims under test:
 //  * a cache hit is byte-identical to a cold re-execution — outputs AND
 //    the verified digest-vector fingerprint at every verification point;
+//  * a LOAD input rewritten at an unchanged size is new content to the
+//    cache key;
 //  * N concurrent sessions produce per-session outputs, metrics (minus
 //    latency) and canonical audit transcripts bit-identical to the same
 //    N requests executed serially — including after an injected
@@ -27,10 +29,8 @@
 
 #include "baseline/presets.hpp"
 #include "cluster/tracker.hpp"
-#include "common/guarded.hpp"
 #include "core/controller.hpp"
 #include "core/journal.hpp"
-#include "core/result_cache.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/sha256.hpp"
 #include "dataflow/interpreter.hpp"
@@ -178,8 +178,8 @@ TEST(FrontendTest, CacheHitIsByteIdenticalToColdExecution) {
   }
   EXPECT_EQ(hit_fp, cold_fp) << "adopted fingerprints diverged from cold";
 
-  const auto stats = w.controller->cache_stats();
-  EXPECT_GT(stats.hits, 0u);
+  const auto stats = w.controller->store_stats();
+  EXPECT_EQ(stats.cache_hits, hit.metrics.cache_hits);
   EXPECT_GT(stats.insertions, 0u);
 
   // Audit trail names every adoption.
@@ -187,38 +187,42 @@ TEST(FrontendTest, CacheHitIsByteIdenticalToColdExecution) {
             std::string::npos);
 }
 
-TEST(FrontendTest, ConvictionInvalidatesDependentCacheEntries) {
-  // The cache's invalidation contract in isolation: entries remember
-  // their contributor set, and convicting any contributor kills every
-  // dependent entry (the controller wires invalidate_node into
-  // attribute_commission and kProbeCommission outcomes).
-  const common::RoleGuard held(common::scheduler_thread_role);
-  core::ResultCache cache;
-  const crypto::Digest256 ka = crypto::Digest256::of("subgraph-a");
-  const crypto::Digest256 kb = crypto::Digest256::of("subgraph-b");
-  const crypto::Digest256 kc = crypto::Digest256::of("subgraph-c");
-  cache.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a", {0, 1, 2}});
-  // A dependent entry inherits its dependency's contributors.
-  cache.insert(kb, {crypto::Digest256::of("fp-b"), "wave/b", {0, 1, 2, 3}});
-  cache.insert(kc, {crypto::Digest256::of("fp-c"), "wave/c", {4, 5}});
-  // First insert wins: re-inserting under ka must not churn the path.
-  cache.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a2", {7}});
-  ASSERT_NE(cache.lookup(ka), nullptr);
-  EXPECT_EQ(cache.lookup(ka)->output_path, "wave/a");
+TEST(FrontendTest, SameSizeInputRewriteMissesTheCache) {
+  // A LOAD input rewritten in place with content of the same canonical
+  // size (one user id swapped for another of the same width) must change
+  // every key built on it: a key memoized on the size would adopt the
+  // old input's verified result.
+  World w;
+  ClientRequest req = baseline::cluster_bft(
+      workloads::twitter_follower_analysis(), "probe", 1, 2, 2);
+  req.use_result_cache = true;
+  const ScriptResult before = w.controller->execute(req);
+  ASSERT_TRUE(before.verified);
 
-  // Convict node 2: a and b (which depends on a) die, c survives.
-  EXPECT_EQ(cache.invalidate_node(2), 2u);
-  EXPECT_EQ(cache.lookup(ka), nullptr);
-  EXPECT_EQ(cache.lookup(kb), nullptr);
-  ASSERT_NE(cache.lookup(kc), nullptr);
-  EXPECT_EQ(cache.lookup(kc)->output_path, "wave/c");
-  // Convicting a non-contributor is a no-op.
-  EXPECT_EQ(cache.invalidate_node(2), 0u);
+  dataflow::Relation edges = w.dfs.peek("twitter/edges");
+  const std::uint64_t size = w.dfs.size_of("twitter/edges");
+  bool rewritten = false;
+  for (dataflow::Tuple& row : edges.rows()) {
+    const dataflow::Value& user = row.at(0);
+    if (user.is_null() || user.as_long() % 10 == 9) continue;
+    row.at(0) = dataflow::Value(user.as_long() + 1);
+    rewritten = true;
+    break;
+  }
+  ASSERT_TRUE(rewritten);
+  w.dfs.write("twitter/edges", edges);
+  ASSERT_EQ(w.dfs.size_of("twitter/edges"), size);
 
-  const auto& stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 3u) << "duplicate insert must not count";
-  EXPECT_EQ(stats.invalidated, 2u);
-  EXPECT_EQ(cache.size(), 1u);
+  const ScriptResult after = w.controller->execute(req);
+  ASSERT_TRUE(after.verified);
+  EXPECT_EQ(after.metrics.cache_hits, 0u);
+  const auto golden = dataflow::interpret(dataflow::parse_script(req.script),
+                                          {{"twitter/edges", edges}});
+  for (const auto& [path, rel] : golden) {
+    ASSERT_TRUE(after.outputs.count(path)) << path;
+    EXPECT_EQ(after.outputs.at(path).sorted_rows(), rel.sorted_rows())
+        << path;
+  }
 }
 
 // ------------------------------------------------- concurrent == serial

@@ -391,8 +391,8 @@ TEST(CheckpointModelTest, SelectsOnlyGatingJobsAndIsDeterministic) {
   const auto sizes = fig4_sizes();
   const auto c = compile_fig4(sizes);
   const auto depth = pipeline_depths(c.dag);
-  const auto a = select_checkpoints(c.dag, sizes, depth, c.gating, 0.0, 0);
-  const auto b = select_checkpoints(c.dag, sizes, depth, c.gating, 0.0, 0);
+  const auto a = select_checkpoints(c.dag, sizes, depth, c.gating, 0.0);
+  const auto b = select_checkpoints(c.dag, sizes, depth, c.gating, 0.0);
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_EQ(a.est_bytes, b.est_bytes);
   bool any = false;
@@ -406,38 +406,12 @@ TEST(CheckpointModelTest, SelectsOnlyGatingJobsAndIsDeterministic) {
   EXPECT_TRUE(any);
 }
 
-TEST(CheckpointModelTest, BudgetBoundsSelectedBytes) {
-  const auto sizes = fig4_sizes();
-  const auto c = compile_fig4(sizes);
-  const auto depth = pipeline_depths(c.dag);
-  const auto all = select_checkpoints(c.dag, sizes, depth, c.gating, 1.0, 0);
-  std::uint64_t unbounded = 0;
-  std::size_t count = 0;
-  for (std::size_t j = 0; j < all.selected.size(); ++j) {
-    if (!all.selected[j]) continue;
-    unbounded += all.est_bytes[j];
-    ++count;
-  }
-  ASSERT_GT(count, 0u);
-  // A budget below the unbounded spend must select strictly less, and
-  // never exceed the budget.
-  const std::uint64_t budget = unbounded / 2;
-  const auto capped =
-      select_checkpoints(c.dag, sizes, depth, c.gating, 1.0, budget);
-  std::uint64_t spent = 0;
-  for (std::size_t j = 0; j < capped.selected.size(); ++j) {
-    if (capped.selected[j]) spent += capped.est_bytes[j];
-  }
-  EXPECT_LE(spent, budget);
-  EXPECT_LT(spent, unbounded);
-}
-
 TEST(CheckpointModelTest, HigherSuspicionNeverSelectsLess) {
   const auto sizes = fig4_sizes();
   const auto c = compile_fig4(sizes);
   const auto depth = pipeline_depths(c.dag);
-  const auto calm = select_checkpoints(c.dag, sizes, depth, c.gating, 0.0, 0);
-  const auto hot = select_checkpoints(c.dag, sizes, depth, c.gating, 1.0, 0);
+  const auto calm = select_checkpoints(c.dag, sizes, depth, c.gating, 0.0);
+  const auto hot = select_checkpoints(c.dag, sizes, depth, c.gating, 1.0);
   for (std::size_t j = 0; j < calm.selected.size(); ++j) {
     if (calm.selected[j]) {
       EXPECT_TRUE(hot.selected[j])

@@ -22,11 +22,11 @@ struct World {
   cluster::EventSim sim;
   mapreduce::Dfs dfs{16384};
   cluster::ExecutionTracker tracker;
-  protocol::LossySeam seam;
+  protocol::ChaosSeam seam;
   ClusterBft controller;
   dataflow::Relation edges;
 
-  explicit World(protocol::LossyConfig cfg,
+  explicit World(protocol::ChaosConfig cfg,
                  cluster::TrackerConfig tcfg = make_tracker_config())
       : tracker(sim, dfs, tcfg),
         seam(tracker, cfg),
@@ -69,7 +69,7 @@ TEST(LossyTransportTest, LateDigestsConvictNobody) {
   // verifier timeout. Verification must proceed exactly as if the link
   // were perfect: no reruns, no omission or commission faults, nobody
   // suspected.
-  protocol::LossyConfig cfg;
+  protocol::ChaosConfig cfg;
   cfg.digest_delay_s = 5.0;
   World w(cfg);
   const auto res = w.run("late");
@@ -87,7 +87,7 @@ TEST(LossyTransportTest, DroppedDigestsLookLikeSilentReplicasThenRecover) {
   // the verifier never hears from them, so they time out like silent
   // replicas — omission attribution and reruns with escalating timeouts —
   // until reruns land after the blackout and verification succeeds.
-  protocol::LossyConfig cfg;
+  protocol::ChaosConfig cfg;
   cfg.digest_blackout_until_s = 500.0;
   World w(cfg);
   const auto res = w.run("blackout");
@@ -103,7 +103,7 @@ TEST(LossyTransportTest, PermanentDigestLossExhaustsRerunsHonestly) {
   // Digests never arrive at all. Every wave times out, the rerun budget
   // runs dry, and the controller reports an unverified (but honestly
   // unverified) execution — it must not abort, hang, or claim success.
-  protocol::LossyConfig cfg;
+  protocol::ChaosConfig cfg;
   cfg.digest_drop_prob = 1.0;
   World w(cfg);
   const auto res = w.run("dead");
@@ -121,10 +121,9 @@ TEST(LossyTransportTest, GeneralLinkLossStillVerifies) {
   // and duplicated events are absorbed by the control-plane mirror's
   // per-run sequence-number dedup (the old at-most-once digest-path
   // assumption is gone). ClusterBFT still reaches a verified, correct
-  // answer. LossyConfig/LossySeam are thin aliases of the chaos
-  // transport (protocol/chaos.hpp), which adds reordering and
-  // corruption on top — the full storm lives in chaos_sweep_test.
-  protocol::LossyConfig cfg;
+  // answer. The chaos transport (protocol/chaos.hpp) adds reordering
+  // and corruption on top — the full storm lives in chaos_sweep_test.
+  protocol::ChaosConfig cfg;
   cfg.link.drop_prob = 0.01;
   cfg.link.dup_prob = 0.05;
   cfg.seed = 11;
