@@ -88,56 +88,78 @@ crypto::Digest256 key_of(std::uint8_t seed) {
   return d;
 }
 
-TEST(VerifiedStoreTest, FirstWinsDurableReplacesAndConvictionInvalidates) {
+TEST(CheckpointStoreTest, InsertLookupAdoptInvalidate) {
+  // The checkpoint lever's view of the store: durable entries,
+  // first-wins, adoption counts and conviction invalidation.
   using Reuse = VerifiedStore::Reuse;
   const common::RoleGuard held(common::scheduler_thread_role);
   VerifiedStore store;
-  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit), nullptr);
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCheckpoint), nullptr);
 
   const crypto::Digest256 fp = crypto::Digest256::of("fp");
-  store.insert(key_of(1), {fp, "wave/a", {0, 1, 2}});
-  // A dependent entry inherits its dependency's contributors.
-  store.insert(key_of(2), {fp, "wave/b", {0, 1, 2, 3}});
-  store.insert(key_of(3), {fp, "ckpt/cc", {4, 5}, true, 100});
+  store.insert(key_of(1), {fp, "ckpt/aa", {2, 5}, true, 100});
+  store.insert(key_of(2), {fp, "ckpt/bb", {7}, true, 100});
 
-  // First insert wins: a second non-durable result under a key must not
-  // churn the path (the key determines the bytes).
+  const VerifiedStore::Entry* got = store.lookup(key_of(1), Reuse::kCheckpoint);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->path, "ckpt/aa");
+  EXPECT_EQ(got->bytes, 100u);
+  EXPECT_EQ(store.stats().durable_writes, 2u);
+
+  // First insert wins: a re-derived entry for the same content address
+  // must not clobber the original (same bytes by construction).
+  store.insert(key_of(1), {fp, "ckpt/other", {}, true, 100});
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCheckpoint)->path, "ckpt/aa");
+  EXPECT_EQ(store.stats().durable_writes, 2u);
+
+  store.adopted(Reuse::kCheckpoint);
+  EXPECT_EQ(store.stats().checkpoint_adoptions, 1u);
+
+  // Convicting node 5 drops exactly the entries it contributed to.
+  EXPECT_EQ(store.invalidate_node(5), 1u);
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCheckpoint), nullptr);
+  ASSERT_NE(store.lookup(key_of(2), Reuse::kCheckpoint), nullptr);
+  EXPECT_EQ(store.invalidate_node(5), 0u);
+}
+
+TEST(VerifiedStoreTest, FirstWinsDurableReplacesAndConvictionInvalidates) {
+  // What the merged store adds over one store per lever: both levers
+  // read one entry per key, and a durable entry supersedes a
+  // non-durable one.
+  using Reuse = VerifiedStore::Reuse;
+  const common::RoleGuard held(common::scheduler_thread_role);
+  VerifiedStore store;
+  const crypto::Digest256 fp = crypto::Digest256::of("fp");
+  store.insert(key_of(1), {fp, "wave/a", {0, 1, 2}});
+  store.insert(key_of(2), {fp, "ckpt/bb", {4, 5}, true, 100});
+
+  // First insert wins among non-durable results.
   store.insert(key_of(1), {fp, "wave/a2", {7}});
-  ASSERT_NE(store.lookup(key_of(1), Reuse::kCacheHit), nullptr);
   EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit)->path, "wave/a");
   // A cache hit takes any entry; a checkpoint only a durable one.
   EXPECT_EQ(store.lookup(key_of(1), Reuse::kCheckpoint), nullptr);
   const VerifiedStore::Entry* durable =
-      store.lookup(key_of(3), Reuse::kCheckpoint);
+      store.lookup(key_of(2), Reuse::kCheckpoint);
   ASSERT_NE(durable, nullptr);
-  EXPECT_EQ(durable->path, "ckpt/cc");
-  EXPECT_EQ(durable->bytes, 100u);
-  EXPECT_EQ(store.lookup(key_of(3), Reuse::kCacheHit), durable);
+  EXPECT_EQ(store.lookup(key_of(2), Reuse::kCacheHit), durable);
 
   // A durable entry replaces a non-durable one, and is never replaced.
-  store.insert(key_of(2), {fp, "ckpt/bb", {0, 1, 2, 3}, true, 50});
-  ASSERT_NE(store.lookup(key_of(2), Reuse::kCheckpoint), nullptr);
-  EXPECT_EQ(store.lookup(key_of(2), Reuse::kCacheHit)->path, "ckpt/bb");
-  store.insert(key_of(2), {fp, "ckpt/other", {9}, true, 50});
-  store.insert(key_of(2), {fp, "wave/b2", {9}});
-  EXPECT_EQ(store.lookup(key_of(2), Reuse::kCacheHit)->path, "ckpt/bb");
+  store.insert(key_of(1), {fp, "ckpt/aa", {0, 1, 2}, true, 50});
+  ASSERT_NE(store.lookup(key_of(1), Reuse::kCheckpoint), nullptr);
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit)->path, "ckpt/aa");
+  store.insert(key_of(1), {fp, "ckpt/other", {9}, true, 50});
+  store.insert(key_of(1), {fp, "wave/a3", {9}});
+  EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit)->path, "ckpt/aa");
 
-  EXPECT_EQ(store.stats().insertions, 4u) << "ignored inserts must not count";
+  EXPECT_EQ(store.stats().insertions, 3u) << "ignored inserts must not count";
   EXPECT_EQ(store.stats().durable_writes, 2u);
   store.adopted(Reuse::kCacheHit);
-  store.adopted(Reuse::kCheckpoint);
-  store.adopted(Reuse::kCheckpoint);
   EXPECT_EQ(store.stats().cache_hits, 1u);
-  EXPECT_EQ(store.stats().checkpoint_adoptions, 2u);
+  EXPECT_EQ(store.stats().checkpoint_adoptions, 0u);
 
-  // Convict node 2: entry 1 and its dependent entry 2 (durable or not)
-  // die, entry 3 survives.
-  EXPECT_EQ(store.invalidate_node(2), 2u);
+  // Conviction drops a durable entry like any other.
+  EXPECT_EQ(store.invalidate_node(0), 1u);
   EXPECT_EQ(store.lookup(key_of(1), Reuse::kCacheHit), nullptr);
-  EXPECT_EQ(store.lookup(key_of(2), Reuse::kCacheHit), nullptr);
-  ASSERT_NE(store.lookup(key_of(3), Reuse::kCacheHit), nullptr);
-  // Convicting a non-contributor is a no-op.
-  EXPECT_EQ(store.invalidate_node(2), 0u);
   EXPECT_EQ(store.size(), 1u);
 }
 

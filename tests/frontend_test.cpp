@@ -29,8 +29,10 @@
 
 #include "baseline/presets.hpp"
 #include "cluster/tracker.hpp"
+#include "common/guarded.hpp"
 #include "core/controller.hpp"
 #include "core/journal.hpp"
+#include "core/verified_store.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/sha256.hpp"
 #include "dataflow/interpreter.hpp"
@@ -185,6 +187,40 @@ TEST(FrontendTest, CacheHitIsByteIdenticalToColdExecution) {
   // Audit trail names every adoption.
   EXPECT_NE(w.controller->audit_log().to_string().find("cache-hit"),
             std::string::npos);
+}
+
+TEST(FrontendTest, ConvictionInvalidatesDependentCacheEntries) {
+  // The store's invalidation contract for cache entries in isolation:
+  // entries remember their contributor set, and convicting any
+  // contributor kills every dependent entry (the controller wires
+  // invalidate_node into attribute_commission and kProbeCommission
+  // outcomes).
+  using Reuse = core::VerifiedStore::Reuse;
+  const common::RoleGuard held(common::scheduler_thread_role);
+  core::VerifiedStore store;
+  const crypto::Digest256 ka = crypto::Digest256::of("subgraph-a");
+  const crypto::Digest256 kb = crypto::Digest256::of("subgraph-b");
+  const crypto::Digest256 kc = crypto::Digest256::of("subgraph-c");
+  store.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a", {0, 1, 2}});
+  // A dependent entry inherits its dependency's contributors.
+  store.insert(kb, {crypto::Digest256::of("fp-b"), "wave/b", {0, 1, 2, 3}});
+  store.insert(kc, {crypto::Digest256::of("fp-c"), "wave/c", {4, 5}});
+  // First insert wins: re-inserting under ka must not churn the path.
+  store.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a2", {7}});
+  ASSERT_NE(store.lookup(ka, Reuse::kCacheHit), nullptr);
+  EXPECT_EQ(store.lookup(ka, Reuse::kCacheHit)->path, "wave/a");
+
+  // Convict node 2: a and b (which depends on a) die, c survives.
+  EXPECT_EQ(store.invalidate_node(2), 2u);
+  EXPECT_EQ(store.lookup(ka, Reuse::kCacheHit), nullptr);
+  EXPECT_EQ(store.lookup(kb, Reuse::kCacheHit), nullptr);
+  ASSERT_NE(store.lookup(kc, Reuse::kCacheHit), nullptr);
+  EXPECT_EQ(store.lookup(kc, Reuse::kCacheHit)->path, "wave/c");
+  // Convicting a non-contributor is a no-op.
+  EXPECT_EQ(store.invalidate_node(2), 0u);
+
+  EXPECT_EQ(store.stats().insertions, 3u) << "duplicate insert must not count";
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(FrontendTest, SameSizeInputRewriteMissesTheCache) {
