@@ -17,7 +17,6 @@ ExecutionTracker::ExecutionTracker(EventSim& sim, mapreduce::Dfs& dfs,
                                    TrackerConfig cfg)
     : sim_(sim), dfs_(dfs), cfg_(std::move(cfg)) {
   resources_.add_nodes(cfg_.num_nodes, cfg_.slots_per_node);
-  scheduler_ = std::make_unique<OverlapScheduler>();
   rng_seeder_ = Rng(cfg_.seed);
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     node_rngs_.emplace(n, rng_seeder_.fork());
@@ -61,11 +60,6 @@ void ExecutionTracker::crash_node(NodeId nid) {
   resources_.entry(nid).excluded = true;
   // Deliberately no on_node_drained: a dead node cannot announce its own
   // death. The control tier learns of it the honest way — timeouts.
-}
-
-void ExecutionTracker::set_scheduler(std::unique_ptr<TaskScheduler> s) {
-  CBFT_CHECK(s != nullptr);
-  scheduler_ = std::move(s);
 }
 
 double ExecutionTracker::node_speed(NodeId nid) const {
@@ -224,7 +218,7 @@ bool ExecutionTracker::assign_one(ResourceEntry& node) {
     safe.swap(urgent_safe);
     safe_pending_index.swap(urgent_index);
   }
-  const auto choice = scheduler_->pick(node, safe);
+  const auto choice = scheduler_.pick(node, safe);
   if (!choice) return false;
   CBFT_CHECK(*choice < safe.size());
   const std::size_t pi = safe_pending_index[*choice];

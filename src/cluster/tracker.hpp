@@ -1,6 +1,6 @@
 // The execution tracker (§4.2): accepts job-replica submissions from the
 // job initiator, assigns tasks to simulated nodes on (implicit) heartbeats
-// via a pluggable scheduler, lets per-node adversary policies inject
+// via the overlap scheduler, lets per-node adversary policies inject
 // Byzantine faults, forwards verification-point digests to the control
 // tier, and accounts the metrics Table 3 reports.
 //
@@ -179,8 +179,6 @@ class ExecutionTracker {
   ResourceTable& resources() { return resources_; }
   const ResourceTable& resources() const { return resources_; }
 
-  void set_scheduler(std::unique_ptr<TaskScheduler> scheduler);
-
   /// Tasks hung forever by omission-faulty nodes.
   std::size_t stuck_tasks() const { return stuck_tasks_; }
 
@@ -206,9 +204,6 @@ class ExecutionTracker {
   /// death. Crashing is permanent (readmitting a crashed node only makes
   /// the scheduler hand it tasks that hang forever).
   void crash_node(NodeId nid);
-  bool node_crashed(NodeId nid) const {
-    return crashed_nodes_.count(nid) != 0;
-  }
 
   mapreduce::Dfs& dfs() { return dfs_; }
   EventSim& sim() { return sim_; }
@@ -298,7 +293,7 @@ class ExecutionTracker {
   mapreduce::Dfs& dfs_;
   TrackerConfig cfg_;
   ResourceTable resources_;
-  std::unique_ptr<TaskScheduler> scheduler_;
+  OverlapScheduler scheduler_;
   std::vector<JobRun> runs_;
   std::vector<TaskRef> pending_;
   /// Replica pinning: (node, sid) -> replica index first seen there.

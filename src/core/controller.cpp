@@ -282,11 +282,7 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
   // for the controller's lifetime.
   s.program_id = programs_.deploy(&s.plan, &s.dag);
 
-  s.verifier_pool = request.verifier_threads > 0
-                        ? std::make_unique<common::ThreadPool>(
-                              request.verifier_threads)
-                        : nullptr;
-  s.verifier = std::make_unique<Verifier>(request.f, s.verifier_pool.get());
+  s.verifier = std::make_unique<Verifier>(request.f, request.verifier_threads);
   s.pipeline_depth = pipeline_depths(s.dag);
   s.base_replicas = base_replication(request);
   const std::size_t jobs = s.dag.jobs.size();
@@ -1686,6 +1682,9 @@ void ClusterBft::finish(ScriptSession& s, bool success) {
   --unfinished_;
   s.success = success;
   s.finish_time = now();
+  // Sessions live as long as the controller; their fingerprint workers
+  // must not.
+  s.verifier->release_pool();
 }
 
 // ---- verified-result reuse ----------------------------------------------

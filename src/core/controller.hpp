@@ -91,7 +91,6 @@
 
 #include "cluster/event_sim.hpp"
 #include "common/guarded.hpp"
-#include "common/thread_pool.hpp"
 #include "core/audit.hpp"
 #include "core/fault_analyzer.hpp"
 #include "core/journal.hpp"

@@ -109,7 +109,8 @@ struct ClientRequest {
   /// Worker threads for offline digest comparison: the verifier folds
   /// each completed run's digest vector into a fingerprint on a control-
   /// tier thread pool instead of deep-comparing maps on the scheduler
-  /// thread. 0 = compare inline.
+  /// thread. 0 = compare inline. The pool is joined when the session
+  /// finishes.
   std::size_t verifier_threads = 0;
 
   /// Simulated seconds the verifier waits for replicas of a job before

@@ -28,7 +28,6 @@
 
 #include "cluster/event_sim.hpp"
 #include "cluster/resource_table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/fault_analyzer.hpp"
 #include "core/request.hpp"
 #include "core/verifier.hpp"
@@ -80,9 +79,6 @@ struct ScriptSession {
   mapreduce::JobDag dag;
   /// Registry handle for plan/dag.
   std::uint64_t program_id = 0;
-  /// Offline digest-comparison pool (request.verifier_threads > 0); the
-  /// verifier borrows it, so it must outlive the verifier.
-  std::unique_ptr<common::ThreadPool> verifier_pool;
   std::unique_ptr<Verifier> verifier;
 
   std::vector<Wave> waves;

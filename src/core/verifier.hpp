@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,12 +29,20 @@ namespace clusterbft::core {
 
 class Verifier {
  public:
-  /// `pool` (optional, not owned, must outlive the verifier) runs the
-  /// per-run digest-vector fingerprinting off the scheduler thread.
-  explicit Verifier(std::size_t f, common::ThreadPool* pool = nullptr)
-      : f_(f), pool_(pool) {}
+  /// `threads` > 0 runs the per-run digest-vector fingerprinting on a
+  /// pool of that many workers, off the scheduler thread.
+  explicit Verifier(std::size_t f, std::size_t threads = 0)
+      : f_(f),
+        pool_(threads > 0 ? std::make_unique<common::ThreadPool>(threads)
+                          : nullptr) {}
 
   std::size_t f() const { return f_; }
+
+  /// Join the fingerprint workers. Runs completed later are folded
+  /// inline, which gives the same bytes; fingerprints already handed to
+  /// the pool stay valid, because the pool runs queued work before its
+  /// workers join.
+  void release_pool() { pool_.reset(); }
 
   /// Announce that `run_id` executes a replica of sub-graph `sid` and
   /// whether that job carries verification points ("gating": only gating
@@ -117,7 +126,7 @@ class Verifier {
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
 
   std::size_t f_;
-  common::ThreadPool* pool_;
+  std::unique_ptr<common::ThreadPool> pool_;
   /// Thread-confined to the scheduler thread: the pool only ever touches
   /// a value-captured snapshot of a run's digest vector, never `jobs_`.
   std::map<std::string, JobState> jobs_

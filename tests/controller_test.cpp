@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "baseline/presets.hpp"
 #include "common/check.hpp"
 #include "dataflow/interpreter.hpp"
@@ -290,6 +294,62 @@ TEST(ControllerTest, BackToBackExecutionsAreIndependent) {
   EXPECT_TRUE(r1.verified);
   EXPECT_TRUE(r2.verified);
   EXPECT_GT(r2.metrics.latency_s, 0.0);
+}
+
+/// Threads in this process (the "Threads:" line of /proc/self/status).
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(ControllerTest, FinishedSessionsReleaseVerifierThreads) {
+  // A controller keeps every session for its lifetime, but a session's
+  // verifier pool must not outlive the session: six scripts with one
+  // verifier thread each leave as many threads as the first one did,
+  // and their results equal comparing inline.
+  const auto run_six = [](std::size_t verifier_threads,
+                          std::vector<std::size_t>& threads_after) {
+    World w;
+    w.load_twitter();
+    std::vector<ScriptResult> results;
+    for (int i = 0; i < 6; ++i) {
+      auto req = baseline::cluster_bft(
+          workloads::twitter_follower_analysis(), "leak", 1, 2, 1);
+      req.verifier_threads = verifier_threads;
+      results.push_back(w.controller->execute(req));
+      threads_after.push_back(process_threads());
+    }
+    return results;
+  };
+  std::vector<std::size_t> pooled_threads;
+  std::vector<std::size_t> inline_threads;
+  const auto pooled = run_six(1, pooled_threads);
+  const auto inline_results = run_six(0, inline_threads);
+
+  ASSERT_GT(pooled_threads.front(), 0u);
+  EXPECT_EQ(pooled_threads.back(), pooled_threads.front());
+  ASSERT_EQ(pooled.size(), inline_results.size());
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    SCOPED_TRACE("script " + std::to_string(i));
+    const ScriptResult& a = pooled[i];
+    const ScriptResult& b = inline_results[i];
+    EXPECT_TRUE(a.verified);
+    EXPECT_EQ(a.verified, b.verified);
+    EXPECT_EQ(a.verified_digest_hex, b.verified_digest_hex);
+    EXPECT_EQ(a.suspects, b.suspects);
+    EXPECT_EQ(a.metrics.latency_s, b.metrics.latency_s);
+    EXPECT_EQ(a.metrics.cpu_seconds, b.metrics.cpu_seconds);
+    EXPECT_EQ(a.metrics.runs, b.metrics.runs);
+    EXPECT_EQ(a.metrics.digest_reports, b.metrics.digest_reports);
+    ASSERT_EQ(a.outputs.size(), b.outputs.size());
+    for (const auto& [path, rel] : a.outputs) {
+      EXPECT_EQ(rel.rows(), b.outputs.at(path).rows()) << path;
+    }
+  }
 }
 
 TEST(ControllerTest, OptimizedPlanVerifiesIdentically) {

@@ -17,8 +17,8 @@
 #include "crypto/digest.hpp"
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
+#include "dag_run.hpp"
 #include "mapreduce/compiler.hpp"
-#include "mapreduce/local_runner.hpp"
 #include "random_script.hpp"
 #include "sim/isolation_sim.hpp"
 #include "workloads/scripts.hpp"
@@ -86,12 +86,14 @@ std::vector<crypto::ChunkDigest> digest_relation(
 }
 
 /// One full pass for `seed`: random plan, marker-function verification
-/// points, MR compilation, in-process DAG execution. Returns the digest
-/// stream plus the interpreter-side digests of every output.
+/// points, MR compilation, DAG execution on the tracker with one honest
+/// node. Returns the digest stream plus the interpreter-side digests of
+/// every output, and both sides' outputs.
 struct DigestPass {
   std::vector<mapreduce::DigestReport> mr_digests;
   std::vector<crypto::ChunkDigest> interp_digests;
   std::map<std::string, dataflow::Relation> mr_outputs;
+  std::map<std::string, dataflow::Relation> interp_outputs;
 };
 
 DigestPass digest_pass(std::uint64_t seed) {
@@ -111,12 +113,12 @@ DigestPass digest_pass(std::uint64_t seed) {
   DigestPass pass;
   mapreduce::Dfs dfs(2048);
   dfs.write("ta", input);
-  auto run = mapreduce::run_job_dag_local(plan, dag, dfs);
+  auto run = testgen::run_one_node(plan, dag, dfs);
   pass.mr_digests = std::move(run.digests);
   pass.mr_outputs = std::move(run.outputs);
 
-  const auto golden = dataflow::interpret(plan, {{"ta", input}});
-  for (const auto& [path, rel] : golden) {
+  pass.interp_outputs = dataflow::interpret(plan, {{"ta", input}});
+  for (const auto& [path, rel] : pass.interp_outputs) {
     for (auto& cd : digest_relation(rel, 32)) {
       pass.interp_digests.push_back(cd);
     }
@@ -151,10 +153,14 @@ TEST(DeterminismTest, VerificationPointDigestsBitStable) {
       EXPECT_EQ(a.interp_digests[i], b.interp_digests[i]) << "chunk " << i;
     }
 
-    // The two execution paths also agree on the final outputs.
+    // Both MR runs store the same final rows, and those are the
+    // interpreter's rows: the two execution paths agree on the output.
     ASSERT_TRUE(a.mr_outputs.contains("out"));
+    ASSERT_TRUE(a.interp_outputs.contains("out"));
     EXPECT_EQ(a.mr_outputs.at("out").sorted_rows(),
               b.mr_outputs.at("out").sorted_rows());
+    EXPECT_EQ(a.mr_outputs.at("out").sorted_rows(),
+              a.interp_outputs.at("out").sorted_rows());
   }
 }
 

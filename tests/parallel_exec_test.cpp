@@ -8,7 +8,6 @@
 // flaky test.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <string>
 #include <variant>
@@ -19,9 +18,9 @@
 #include "common/rng.hpp"
 #include "core/controller.hpp"
 #include "core/graph_analyzer.hpp"
+#include "dag_run.hpp"
 #include "dataflow/parser.hpp"
 #include "mapreduce/compiler.hpp"
-#include "mapreduce/local_runner.hpp"
 #include "protocol/seam.hpp"
 #include "protocol/transport.hpp"
 #include "random_script.hpp"
@@ -40,16 +39,26 @@ using mapreduce::MRJobSpec;
 
 class ParallelExecTest : public ::testing::TestWithParam<std::size_t> {};
 
+/// Exact equality on doubles on purpose: the simulated-time accounting
+/// (float addition order included) must not drift with the pool size.
+void expect_same_metrics(const cluster::JobRunMetrics& a,
+                         const cluster::JobRunMetrics& b) {
+  EXPECT_EQ(a.submit_time, b.submit_time);
+  EXPECT_EQ(a.finish_time, b.finish_time);
+  EXPECT_EQ(a.cpu_seconds, b.cpu_seconds);
+  EXPECT_EQ(a.file_read, b.file_read);
+  EXPECT_EQ(a.file_write, b.file_write);
+  EXPECT_EQ(a.hdfs_write, b.hdfs_write);
+  EXPECT_EQ(a.digested, b.digested);
+  EXPECT_EQ(a.tasks_run, b.tasks_run);
+}
+
 // ---------------------------------------------------------------------
-// Local runner: random plans, swept seeds.
+// One honest node: random plans, swept seeds, on the tracker helper the
+// determinism and parity gates use ("LocalRunner" in the test name is
+// this in-process, one-node run).
 
-struct LocalPass {
-  std::vector<mapreduce::DigestReport> digests;
-  std::map<std::string, dataflow::Relation> outputs;
-  mapreduce::TaskMetrics totals;
-};
-
-LocalPass local_pass(std::uint64_t seed, std::size_t threads) {
+testgen::OneNodeRun one_node_pass(std::uint64_t seed, std::size_t threads) {
   Rng rng(seed);
   const dataflow::Relation input = testgen::random_table(rng, 250);
   const std::string script = testgen::random_script(rng);
@@ -65,21 +74,15 @@ LocalPass local_pass(std::uint64_t seed, std::size_t threads) {
 
   mapreduce::Dfs dfs(2048);
   dfs.write("ta", input);
-  auto run =
-      mapreduce::run_job_dag_local(plan, dag, dfs, {.threads = threads});
-  LocalPass pass;
-  pass.digests = std::move(run.digests);
-  pass.outputs = std::move(run.outputs);
-  pass.totals = run.totals;
-  return pass;
+  return testgen::run_one_node(plan, dag, dfs, threads);
 }
 
 TEST_P(ParallelExecTest, LocalRunnerBitIdenticalToSequentialEngine) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
                  std::to_string(GetParam()));
-    const LocalPass seq = local_pass(seed, 0);
-    const LocalPass par = local_pass(seed, GetParam());
+    const testgen::OneNodeRun seq = one_node_pass(seed, 0);
+    const testgen::OneNodeRun par = one_node_pass(seed, GetParam());
 
     ASSERT_FALSE(seq.digests.empty());
     ASSERT_EQ(seq.digests.size(), par.digests.size());
@@ -91,7 +94,7 @@ TEST_P(ParallelExecTest, LocalRunnerBitIdenticalToSequentialEngine) {
       EXPECT_EQ(seq.digests[i].record_count, par.digests[i].record_count);
     }
 
-    // Outputs byte-identical *including row order* — the parallel runner
+    // Outputs byte-identical *including row order* — the pooled tracker
     // must reproduce the sequential task order exactly, not merely the
     // same set of rows.
     ASSERT_EQ(seq.outputs.size(), par.outputs.size());
@@ -100,11 +103,11 @@ TEST_P(ParallelExecTest, LocalRunnerBitIdenticalToSequentialEngine) {
       EXPECT_EQ(rel.rows(), par.outputs.at(path).rows()) << path;
     }
 
-    EXPECT_EQ(seq.totals.input_bytes, par.totals.input_bytes);
-    EXPECT_EQ(seq.totals.output_bytes, par.totals.output_bytes);
-    EXPECT_EQ(seq.totals.digested_bytes, par.totals.digested_bytes);
-    EXPECT_EQ(seq.totals.records_in, par.totals.records_in);
-    EXPECT_EQ(seq.totals.records_out, par.totals.records_out);
+    ASSERT_EQ(seq.metrics.size(), par.metrics.size());
+    for (std::size_t j = 0; j < seq.metrics.size(); ++j) {
+      SCOPED_TRACE("job " + std::to_string(j));
+      expect_same_metrics(seq.metrics[j], par.metrics[j]);
+    }
   }
 }
 
@@ -159,17 +162,8 @@ TrackerPass tracker_pass(std::uint64_t seed, std::size_t threads) {
   std::vector<std::size_t> runs;
   for (std::size_t replica = 0; replica < 2; ++replica) {
     const std::string scope = "w" + std::to_string(replica) + "/";
-    for (const MRJobSpec& spec : dag.jobs) {
-      std::vector<std::string> inputs;
-      for (const auto& b : spec.branches) {
-        const bool load =
-            plan.node(b.source_vertex).kind == dataflow::OpKind::kLoad;
-        inputs.push_back(load ? b.input_path : scope + b.input_path);
-      }
-      runs.push_back(tracker.submit(plan, spec, replica, inputs,
-                                    scope + spec.output_path));
-      sim.run();
-    }
+    const auto chain = testgen::run_chain(tracker, plan, dag, replica, scope);
+    runs.insert(runs.end(), chain.begin(), chain.end());
   }
   for (const std::size_t r : runs) {
     pass.metrics.push_back(tracker.run_metrics(r));
@@ -198,16 +192,7 @@ TEST_P(ParallelExecTest, TrackerBitIdenticalToSequentialEngine) {
 
     ASSERT_EQ(seq.metrics.size(), par.metrics.size());
     for (std::size_t i = 0; i < seq.metrics.size(); ++i) {
-      // Exact equality on doubles on purpose: the simulated-time
-      // accounting (float addition order included) must not drift.
-      EXPECT_EQ(seq.metrics[i].submit_time, par.metrics[i].submit_time);
-      EXPECT_EQ(seq.metrics[i].finish_time, par.metrics[i].finish_time);
-      EXPECT_EQ(seq.metrics[i].cpu_seconds, par.metrics[i].cpu_seconds);
-      EXPECT_EQ(seq.metrics[i].file_read, par.metrics[i].file_read);
-      EXPECT_EQ(seq.metrics[i].file_write, par.metrics[i].file_write);
-      EXPECT_EQ(seq.metrics[i].hdfs_write, par.metrics[i].hdfs_write);
-      EXPECT_EQ(seq.metrics[i].digested, par.metrics[i].digested);
-      EXPECT_EQ(seq.metrics[i].tasks_run, par.metrics[i].tasks_run);
+      expect_same_metrics(seq.metrics[i], par.metrics[i]);
     }
     EXPECT_EQ(seq.outputs, par.outputs);
   }

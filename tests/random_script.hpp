@@ -1,7 +1,10 @@
 // Shared random plan generation for property tests: a random flat table
 // and a random PigLatin-subset script over it. Used by random_plan_test
-// (distributed execution matches the interpreter) and determinism_test
-// (verification-point digests are bit-stable across runs).
+// (distributed execution matches the interpreter), determinism_test
+// (verification-point digests are bit-stable across runs and the stored
+// rows match the interpreter), parallel_exec_test (the tracker's pool
+// size changes no byte) and tools/analysis/digest_parity (the SHA-256
+// parity transcript). The last three run their DAGs through dag_run.hpp.
 #pragma once
 
 #include <sstream>

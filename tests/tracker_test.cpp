@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 
 #include "cluster/event_sim.hpp"
+#include "dag_run.hpp"
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
 #include "mapreduce/compiler.hpp"
@@ -20,6 +21,8 @@ namespace {
 using dataflow::Relation;
 using mapreduce::JobDag;
 using mapreduce::MRJobSpec;
+using testgen::chain_inputs;
+using testgen::run_chain;
 
 struct Fixture {
   EventSim sim;
@@ -38,34 +41,6 @@ struct Fixture {
     opts.sid_prefix = "t";
     dag = mapreduce::compile(plan, vps, opts);
   }
-
-  std::vector<std::string> inputs_for(const MRJobSpec& spec,
-                                      const std::string& scope) {
-    std::vector<std::string> paths;
-    for (const auto& b : spec.branches) {
-      const bool load =
-          plan.node(b.source_vertex).kind == dataflow::OpKind::kLoad;
-      paths.push_back(load ? b.input_path : scope + b.input_path);
-    }
-    return paths;
-  }
-
-  /// Submit all jobs of one replica chain, respecting deps, then run.
-  std::vector<std::size_t> run_chain(ExecutionTracker& tracker,
-                                     std::size_t replica) {
-    const std::string scope = "w" + std::to_string(replica) + "/";
-    std::vector<std::size_t> runs;
-    std::vector<bool> submitted(dag.jobs.size(), false);
-    // Jobs are topologically ordered by construction, and run_chain
-    // drives the sim to idle between submissions, so deps are satisfied.
-    for (const MRJobSpec& spec : dag.jobs) {
-      runs.push_back(tracker.submit(plan, spec, replica,
-                                    inputs_for(spec, scope),
-                                    scope + spec.output_path));
-      tracker.sim().run();
-    }
-    return runs;
-  }
 };
 
 TrackerConfig small_cluster(std::size_t nodes = 8, std::size_t slots = 3) {
@@ -78,7 +53,7 @@ TrackerConfig small_cluster(std::size_t nodes = 8, std::size_t slots = 3) {
 TEST(TrackerTest, SingleJobCompletesAndMatchesInterpreter) {
   Fixture fx(workloads::twitter_follower_analysis());
   ExecutionTracker tracker(fx.sim, fx.dfs, small_cluster());
-  const auto runs = fx.run_chain(tracker, 0);
+  const auto runs = run_chain(tracker, fx.plan, fx.dag, 0, "w0/");
   for (std::size_t r : runs) EXPECT_TRUE(tracker.run_complete(r));
 
   const Relation& got = fx.dfs.read("w0/out/follower_counts");
@@ -91,7 +66,7 @@ TEST(TrackerTest, SingleJobCompletesAndMatchesInterpreter) {
 TEST(TrackerTest, MultiJobChainRunsDepsInOrder) {
   Fixture fx(workloads::twitter_two_hop_analysis());
   ExecutionTracker tracker(fx.sim, fx.dfs, small_cluster(12));
-  const auto runs = fx.run_chain(tracker, 0);
+  const auto runs = run_chain(tracker, fx.plan, fx.dag, 0, "w0/");
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_TRUE(tracker.run_complete(runs[1]));
   const auto golden = dataflow::interpret(
@@ -109,12 +84,15 @@ TEST(TrackerTest, ReplicaPinningNeverMixesReplicasOnANode) {
   ExecutionTracker tracker(fx.sim, fx.dfs, small_cluster(6, 2));
 
   const MRJobSpec& spec = fx.dag.jobs[0];
-  const auto r0 = tracker.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
-                                 "a/" + spec.output_path);
-  const auto r1 = tracker.submit(fx.plan, spec, 1, fx.inputs_for(spec, "b/"),
-                                 "b/" + spec.output_path);
-  const auto r2 = tracker.submit(fx.plan, spec, 2, fx.inputs_for(spec, "c/"),
-                                 "c/" + spec.output_path);
+  const auto r0 =
+      tracker.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
+                     "a/" + spec.output_path);
+  const auto r1 =
+      tracker.submit(fx.plan, spec, 1, chain_inputs(fx.plan, spec, "b/"),
+                     "b/" + spec.output_path);
+  const auto r2 =
+      tracker.submit(fx.plan, spec, 2, chain_inputs(fx.plan, spec, "c/"),
+                     "c/" + spec.output_path);
   fx.sim.run();
   EXPECT_TRUE(tracker.run_complete(r0));
   EXPECT_TRUE(tracker.run_complete(r1));
@@ -136,9 +114,9 @@ TEST(TrackerTest, ReplicasProduceIdenticalOutputs) {
   Fixture fx(workloads::twitter_follower_analysis());
   ExecutionTracker tracker(fx.sim, fx.dfs, small_cluster(16));
   const MRJobSpec& spec = fx.dag.jobs[0];
-  tracker.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
+  tracker.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
                  "a/" + spec.output_path);
-  tracker.submit(fx.plan, spec, 1, fx.inputs_for(spec, "b/"),
+  tracker.submit(fx.plan, spec, 1, chain_inputs(fx.plan, spec, "b/"),
                  "b/" + spec.output_path);
   fx.sim.run();
   EXPECT_EQ(fx.dfs.read("a/out/follower_counts").rows(),
@@ -158,7 +136,7 @@ TEST(TrackerTest, DigestsReportedOncePerTaskAtVerificationPoints) {
       ++digest_count;
     }
   };
-  fx.run_chain(tracker, 0);
+  run_chain(tracker, fx.plan, fx.dag, 0, "w0/");
   // Reduce-side point: one digest per reduce partition.
   EXPECT_EQ(digest_count, fx.dag.jobs[0].num_reducers);
 }
@@ -170,8 +148,9 @@ TEST(TrackerTest, OmissionNodeHangsTasksForever) {
   cfg.policies[1] = AdversaryPolicy{.omission_prob = 1.0};
   ExecutionTracker tracker(fx.sim, fx.dfs, cfg);
   const MRJobSpec& spec = fx.dag.jobs[0];
-  const auto run = tracker.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
-                                  "a/" + spec.output_path);
+  const auto run =
+      tracker.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
+                     "a/" + spec.output_path);
   fx.sim.run();
   EXPECT_FALSE(tracker.run_complete(run));
   EXPECT_GT(tracker.stuck_tasks(), 0u);
@@ -189,9 +168,9 @@ TEST(TrackerTest, CommissionNodeCorruptsOutput) {
   ExecutionTracker honest(sim1, dfs1, honest_cfg);
   ExecutionTracker corrupt(sim2, dfs2, corrupt_cfg);
   const MRJobSpec& spec = fx.dag.jobs[0];
-  honest.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
+  honest.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
                 "a/" + spec.output_path);
-  corrupt.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
+  corrupt.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
                  "a/" + spec.output_path);
   sim1.run();
   sim2.run();
@@ -202,7 +181,7 @@ TEST(TrackerTest, CommissionNodeCorruptsOutput) {
 TEST(TrackerTest, MetricsAreAccountedAndLatencyPositive) {
   Fixture fx(workloads::twitter_follower_analysis());
   ExecutionTracker tracker(fx.sim, fx.dfs, small_cluster());
-  const auto runs = fx.run_chain(tracker, 0);
+  const auto runs = run_chain(tracker, fx.plan, fx.dag, 0, "w0/");
   const JobRunMetrics& m = tracker.run_metrics(runs[0]);
   EXPECT_GT(m.finish_time, m.submit_time);
   EXPECT_GT(m.cpu_seconds, 0.0);
@@ -219,8 +198,9 @@ TEST(TrackerTest, ExcludedNodesGetNoTasks) {
   tracker.resources().record_fault(0);
   tracker.resources().apply_threshold(0.5);
   const MRJobSpec& spec = fx.dag.jobs[0];
-  const auto run = tracker.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
-                                  "a/" + spec.output_path);
+  const auto run =
+      tracker.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
+                     "a/" + spec.output_path);
   fx.sim.run();
   EXPECT_TRUE(tracker.run_complete(run));
   EXPECT_EQ(tracker.run_nodes(run).count(0), 0u);
@@ -238,10 +218,12 @@ TEST(TrackerTest, FasterNodesFinishEarlier) {
   ExecutionTracker slow(sim1, dfs1, slow_cfg);
   ExecutionTracker fast(sim2, dfs2, fast_cfg);
   const MRJobSpec& spec = fx.dag.jobs[0];
-  const auto r1 = slow.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
-                              "a/" + spec.output_path);
-  const auto r2 = fast.submit(fx.plan, spec, 0, fx.inputs_for(spec, "a/"),
-                              "a/" + spec.output_path);
+  const auto r1 =
+      slow.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
+                  "a/" + spec.output_path);
+  const auto r2 =
+      fast.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),
+                  "a/" + spec.output_path);
   sim1.run();
   sim2.run();
   EXPECT_LT(fast.run_metrics(r2).finish_time,

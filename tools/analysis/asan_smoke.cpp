@@ -1,6 +1,7 @@
 // Sanitizer smoke: exercises the digest-critical path — parse, interpret,
-// compile to MapReduce, execute the job DAG in-process, digest at
-// verification points — and checks that two runs are bit-identical.
+// compile to MapReduce, execute the job DAG on the execution tracker with
+// one honest node, digest at verification points — and checks that two
+// runs are bit-identical.
 //
 // Built as `asan_smoke` in every configuration; the `asan_ubsan_smoke`
 // ctest (label: analysis) runs it under -fsanitize=address,undefined so a
@@ -14,8 +15,8 @@
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
 #include "dataflow/relation.hpp"
+#include "dag_run.hpp"
 #include "mapreduce/compiler.hpp"
-#include "mapreduce/local_runner.hpp"
 
 namespace {
 
@@ -40,11 +41,11 @@ dataflow::Relation make_input() {
   return rel;
 }
 
-mapreduce::LocalRunResult run_once(const dataflow::LogicalPlan& plan,
-                                   const mapreduce::JobDag& dag) {
+clusterbft::testgen::OneNodeRun run_once(const dataflow::LogicalPlan& plan,
+                                         const mapreduce::JobDag& dag) {
   mapreduce::Dfs dfs(1024);  // small blocks: several map splits per job
   dfs.write("ta", make_input());
-  return mapreduce::run_job_dag_local(plan, dag, dfs);
+  return clusterbft::testgen::run_one_node(plan, dag, dfs);
 }
 
 }  // namespace

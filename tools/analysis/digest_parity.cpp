@@ -2,12 +2,14 @@
 //
 // Replays the 24-seed random-plan sweep from
 // tests/determinism_test.cpp (VerificationPointDigestsBitStable) and
-// prints every verification-point digest — MR-side and interpreter-side
-// — as one canonical line on stdout. The parity gate runs this binary
-// twice, once with the default SHA-256 dispatch and once with
-// CLUSTERBFT_SHA256_BACKEND=scalar, and diffs the transcripts: any byte
-// the accelerated kernels compute differently from the reference scalar
-// path shows up as a transcript mismatch. The active backend goes to
+// prints every verification-point digest — MR-side, from the execution
+// tracker with one honest node, and interpreter-side — as one canonical
+// line on stdout. The parity gate runs this binary twice, once with the
+// default SHA-256 dispatch and once with CLUSTERBFT_SHA256_BACKEND=scalar,
+// and diffs the transcripts: any byte the accelerated kernels compute
+// differently from the reference scalar path shows up as a transcript
+// mismatch. A seed whose MR side emits no digest exits 1, so the gate
+// cannot pass on interpreter lines alone. The active backend goes to
 // stderr so the stdout transcripts stay comparable.
 #include <iostream>
 #include <map>
@@ -21,7 +23,7 @@
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
 #include "mapreduce/compiler.hpp"
-#include "mapreduce/local_runner.hpp"
+#include "dag_run.hpp"
 #include "random_script.hpp"
 
 namespace clusterbft {
@@ -34,7 +36,9 @@ std::vector<crypto::ChunkDigest> digest_relation(
   return d.finish();
 }
 
-void emit_pass(std::uint64_t seed) {
+/// Prints one seed's transcript lines; returns how many MR digests it
+/// printed.
+std::size_t emit_pass(std::uint64_t seed) {
   Rng rng(seed);
   const dataflow::Relation input = testgen::random_table(rng, 250);
   const std::string script = testgen::random_script(rng);
@@ -50,7 +54,7 @@ void emit_pass(std::uint64_t seed) {
 
   mapreduce::Dfs dfs(2048);
   dfs.write("ta", input);
-  const auto run = mapreduce::run_job_dag_local(plan, dag, dfs);
+  const auto run = testgen::run_one_node(plan, dag, dfs);
   for (const auto& r : run.digests) {
     std::cout << "seed " << seed << " mr " << r.key.to_string() << " n "
               << r.record_count << " " << r.digest.hex() << "\n";
@@ -64,6 +68,7 @@ void emit_pass(std::uint64_t seed) {
                 << cd.digest.hex() << "\n";
     }
   }
+  return run.digests.size();
 }
 
 }  // namespace
@@ -75,7 +80,11 @@ int main() {
   std::cerr << "digest_parity: sha256 backend = "
             << to_string(sha256_backend()) << "\n";
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    clusterbft::emit_pass(seed);
+    if (clusterbft::emit_pass(seed) == 0) {
+      std::cerr << "digest_parity: FAIL: seed " << seed
+                << " emitted no MR digest\n";
+      return 1;
+    }
   }
   return 0;
 }

@@ -1,7 +1,8 @@
 // ThreadSanitizer smoke: exercises the parallel task-execution engine —
-// the ThreadPool itself, the local runner with a worker pool, and the
-// execution tracker with a worker pool — and checks that the parallel
-// results are bit-identical to the sequential engine's.
+// the ThreadPool itself, a job DAG on the execution tracker with one
+// honest node and a worker pool, and a full script through the control
+// tier on a pooled tracker — and checks that the parallel results are
+// bit-identical to the sequential engine's.
 //
 // Built as `tsan_smoke` in every configuration; the `tsan_smoke` ctest
 // (label: analysis) runs it under -fsanitize=thread so a data race in the
@@ -16,10 +17,10 @@
 #include "cluster/tracker.hpp"
 #include "common/thread_pool.hpp"
 #include "core/controller.hpp"
+#include "dag_run.hpp"
 #include "protocol/seam.hpp"
 #include "dataflow/parser.hpp"
 #include "mapreduce/compiler.hpp"
-#include "mapreduce/local_runner.hpp"
 #include "workloads/scripts.hpp"
 #include "workloads/twitter.hpp"
 
@@ -45,7 +46,7 @@ bool pool_basics() {
   return true;
 }
 
-mapreduce::LocalRunResult local_run(std::size_t threads) {
+testgen::OneNodeRun one_node_run(std::size_t threads) {
   workloads::TwitterConfig tw;
   tw.num_edges = 4000;
   tw.num_users = 500;
@@ -57,12 +58,12 @@ mapreduce::LocalRunResult local_run(std::size_t threads) {
   const auto dag = mapreduce::compile(plan, vps, {.sid_prefix = "smoke"});
   mapreduce::Dfs dfs(2048);  // small blocks: many concurrent map payloads
   dfs.write("twitter/edges", workloads::generate_twitter_edges(tw));
-  return mapreduce::run_job_dag_local(plan, dag, dfs, {.threads = threads});
+  return testgen::run_one_node(plan, dag, dfs, threads);
 }
 
-bool local_runner_parallel_matches_sequential() {
-  const auto seq = local_run(0);
-  const auto par = local_run(kThreads);
+bool one_node_parallel_matches_sequential() {
+  const auto seq = one_node_run(0);
+  const auto par = one_node_run(kThreads);
   if (seq.digests.empty() || seq.digests.size() != par.digests.size()) {
     std::fprintf(stderr, "tsan_smoke: FAIL: digest count %zu vs %zu\n",
                  seq.digests.size(), par.digests.size());
@@ -130,7 +131,7 @@ bool tracker_parallel_matches_sequential() {
 
 int main() {
   if (!pool_basics()) return 1;
-  if (!local_runner_parallel_matches_sequential()) return 1;
+  if (!one_node_parallel_matches_sequential()) return 1;
   if (!tracker_parallel_matches_sequential()) return 1;
   std::printf("tsan_smoke: OK: parallel engine bit-identical at %zu threads\n",
               kThreads);
