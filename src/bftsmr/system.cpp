@@ -7,6 +7,17 @@
 
 namespace clusterbft::bftsmr {
 
+namespace {
+/// CPU time a replica spends handling one message. Replicas process
+/// messages sequentially, so this bounds per-replica throughput — the
+/// resource request batching economises (without it, an event-driven
+/// simulation would happily run hundreds of consensus instances in
+/// perfect parallelism and batching could never win).
+constexpr double kProcessTimeS = 50e-6;
+/// Seconds a backup waits for progress before suspecting the primary.
+constexpr double kViewChangeTimeoutS = 0.5;
+}  // namespace
+
 BftSystem::BftSystem(cluster::EventSim& sim, SystemConfig cfg,
                      ServiceFactory factory)
     : sim_(sim), cfg_(cfg), rng_(cfg.seed) {
@@ -22,7 +33,7 @@ BftSystem::BftSystem(cluster::EventSim& sim, SystemConfig cfg,
     rc.n = n;
     rc.f = cfg_.f;
     rc.checkpoint_interval = cfg_.checkpoint_interval;
-    rc.view_change_timeout = cfg_.view_change_timeout_s;
+    rc.view_change_timeout = kViewChangeTimeoutS;
     rc.batch_size = cfg_.batch_size;
     rc.pipeline_depth = cfg_.pipeline_depth;
 
@@ -61,7 +72,7 @@ void BftSystem::schedule_replica_delivery(std::size_t to, Message msg) {
   // message has both arrived and been processed.
   const double arrival = sim_.now() + delay();
   const double start = std::max(arrival, busy_until_[to]);
-  const double done = start + cfg_.process_time_s;
+  const double done = start + kProcessTimeS;
   busy_until_[to] = done;
   sim_.schedule_at(done, [this, to, msg = std::move(msg)] {
     deliver_to_replica(to, msg);

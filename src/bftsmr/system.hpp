@@ -23,14 +23,7 @@ struct SystemConfig {
   std::size_t f = 1;  ///< n = 3f+1 replicas
   double base_delay_s = 0.002;   ///< one-way message latency
   double jitter_s = 0.001;       ///< uniform extra latency
-  /// CPU time a replica spends handling one message. Replicas process
-  /// messages sequentially, so this bounds per-replica throughput — the
-  /// resource request batching economises (without it, an event-driven
-  /// simulation would happily run hundreds of consensus instances in
-  /// perfect parallelism and batching could never win).
-  double process_time_s = 50e-6;
   double drop_prob = 0.0;        ///< per-message loss
-  double view_change_timeout_s = 0.5;
   double client_retry_s = 1.0;
   std::uint64_t checkpoint_interval = 16;
   std::size_t batch_size = 1;  ///< requests ordered per agreement round

@@ -6,12 +6,10 @@
 
 namespace clusterbft::cluster {
 
-TrackerConfig Cloud::make_config(const CloudProfile& profile,
-                                 const CostModel& cost) {
+TrackerConfig Cloud::make_config(const CloudProfile& profile) {
   TrackerConfig cfg;
   cfg.num_nodes = profile.num_nodes;
   cfg.slots_per_node = profile.slots_per_node;
-  cfg.cost = cost;
   cfg.seed = profile.seed;
   if (profile.commission_prob > 0.0 || profile.omission_prob > 0.0) {
     AdversaryPolicy policy;
@@ -21,19 +19,14 @@ TrackerConfig Cloud::make_config(const CloudProfile& profile,
       cfg.policies[nid] = policy;
     }
   }
-  if (profile.speed_factor != 1.0) {
-    for (NodeId nid = 0; nid < profile.num_nodes; ++nid) {
-      cfg.speeds[nid] = profile.speed_factor;
-    }
-  }
   return cfg;
 }
 
 Cloud::Cloud(CloudId id, EventSim& sim, mapreduce::Dfs& dfs,
-             CloudProfile profile, CostModel cost)
+             CloudProfile profile)
     : id_(id),
       profile_(std::move(profile)),
-      tracker_(sim, dfs, make_config(profile_, cost)) {
+      tracker_(sim, dfs, make_config(profile_)) {
   CBFT_CHECK_MSG(profile_.num_nodes <= kCloudNodeStride,
                  "Cloud: pool larger than the per-cloud node-id stride");
 }

@@ -38,8 +38,6 @@ struct CloudProfile {
   /// Advertised price, milli-units per CPU-second (kCheapestFirst sorts
   /// ascending on it).
   std::uint64_t price_milli = 1000;
-  /// Speed factor applied to every node (provider hardware tier).
-  double speed_factor = 1.0;
   /// Correlated commission fault: probability each task on ANY node of
   /// this cloud mis-computes. 0 = honest cloud.
   double commission_prob = 0.0;
@@ -50,8 +48,7 @@ struct CloudProfile {
 /// One independent cloud: a node pool + tracker built from its profile.
 class Cloud {
  public:
-  Cloud(CloudId id, EventSim& sim, mapreduce::Dfs& dfs, CloudProfile profile,
-        CostModel cost = {});
+  Cloud(CloudId id, EventSim& sim, mapreduce::Dfs& dfs, CloudProfile profile);
 
   CloudId id() const { return id_; }
   const CloudProfile& profile() const { return profile_; }
@@ -60,8 +57,7 @@ class Cloud {
   const ExecutionTracker& tracker() const { return tracker_; }
 
  private:
-  static TrackerConfig make_config(const CloudProfile& profile,
-                                   const CostModel& cost);
+  static TrackerConfig make_config(const CloudProfile& profile);
 
   CloudId id_;
   CloudProfile profile_;

@@ -2,8 +2,8 @@
 //
 // Worker crashes are armed as simulator events (the node dies at an
 // exact simulated time, killing its in-flight tasks silently — see
-// ExecutionTracker::crash_node). The controller crash point is a journal
-// record index; the test harness applies it with
+// ExecutionTracker::crash_node). Controller crashes are not part of the
+// plan: a harness arms a journal record index with
 // core::Journal::set_crash_at before running the controller, because the
 // computation tier has no business reaching into the control tier's WAL.
 #pragma once
@@ -25,11 +25,6 @@ struct FaultPlan {
     NodeId node = 0;
   };
   std::vector<WorkerCrash> worker_crashes;
-
-  /// Crash-restart the controller when it would append this journal
-  /// record (SIZE_MAX = never). Applied by the harness via
-  /// core::Journal::set_crash_at, not by arm().
-  std::size_t controller_crash_at_record = SIZE_MAX;
 
   // ---- cloud-level faults (ISSUE 10) -------------------------------
   // Declarative only: whole-cloud faults are partitions of the protocol

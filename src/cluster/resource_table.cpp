@@ -39,29 +39,4 @@ void ResourceTable::release(NodeId nid, const std::string& sid) {
   e.sids.erase(it);
 }
 
-void ResourceTable::record_execution(NodeId nid) {
-  ++entry(nid).jobs_executed;
-}
-
-void ResourceTable::record_fault(NodeId nid) { ++entry(nid).faults; }
-
-std::vector<NodeId> ResourceTable::apply_threshold(double threshold) {
-  std::vector<NodeId> newly;
-  for (ResourceEntry& e : entries_) {
-    if (!e.excluded && e.jobs_executed > 0 && e.suspicion() > threshold) {
-      e.excluded = true;
-      newly.push_back(e.nid);
-    }
-  }
-  return newly;
-}
-
-std::size_t ResourceTable::excluded_count() const {
-  std::size_t n = 0;
-  for (const ResourceEntry& e : entries_) {
-    if (e.excluded) ++n;
-  }
-  return n;
-}
-
 }  // namespace clusterbft::cluster

@@ -1,9 +1,12 @@
 // The resource table kept by the execution handler (§4.2): one tuple
-// (nid, #ru, (sid...), s) per node — node id, resource units, the
-// sub-graphs currently allocated on the node, and its suspicion level.
+// (nid, #ru, (sid...)) per node — node id, resource units and the
+// sub-graphs currently allocated on the node. The paper's fourth field,
+// the suspicion level s, is control-tier data: it lives only in
+// protocol::ControlPlane, which drains a node here once s crosses the
+// threshold. This table just honours the exclusion.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,18 +20,8 @@ struct ResourceEntry {
   std::size_t total_ru = 0;   ///< resource units ("task slots")
   std::size_t used_ru = 0;
   std::multiset<std::string> sids;  ///< sids with tasks currently on the node
-
-  // Suspicion bookkeeping: s = faults / jobs executed (§4.1).
-  std::uint64_t jobs_executed = 0;
-  std::uint64_t faults = 0;
-  bool excluded = false;  ///< dropped from the inclusion list (s > threshold)
-
-  double suspicion() const {
-    return jobs_executed == 0
-               ? 0.0
-               : static_cast<double>(faults) /
-                     static_cast<double>(jobs_executed);
-  }
+  /// Dropped from the inclusion list (drained or crashed): gets no tasks.
+  bool excluded = false;
 
   std::size_t free_ru() const { return total_ru - used_ru; }
 };
@@ -47,21 +40,6 @@ class ResourceTable {
 
   void allocate(NodeId nid, const std::string& sid);
   void release(NodeId nid, const std::string& sid);
-
-  /// Record that a job (sub-graph replica) finished on the node. The
-  /// denominator of the suspicion level.
-  void record_execution(NodeId nid);
-
-  /// Record a fault the verifier attributed to the node. The numerator of
-  /// the suspicion level.
-  void record_fault(NodeId nid);
-
-  /// Exclude nodes whose suspicion exceeds `threshold` (they stop
-  /// receiving tasks until an administrator re-initialises them).
-  /// Returns the newly excluded nodes.
-  std::vector<NodeId> apply_threshold(double threshold);
-
-  std::size_t excluded_count() const;
 
  private:
   std::vector<ResourceEntry> entries_;

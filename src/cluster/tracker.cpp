@@ -13,6 +13,24 @@ using dataflow::OpKind;
 using dataflow::Relation;
 using mapreduce::MRJobSpec;
 
+namespace {
+// Cost model translating task work into simulated seconds.
+//
+// Calibrated to commodity 2013 hardware *ratios* (scan ~40 MB/s, SHA-256
+// ~200 MB/s, shuffle fetch ~50 MB/s), with one canonical byte standing
+// for ~1 KB of the paper's on-disk data: the evaluation inputs are GB-
+// scale and data-bound, while the synthetic relations here are MB-scale.
+// Only the ratios matter for reproducing the paper's shapes — a digest
+// pass costs ~1/5 of a scan pass of the same stream, which is what puts
+// single-verification-point overhead in the paper's ~8% range.
+constexpr double kTaskOverheadS = 0.4;  ///< per-task startup (JVM spawn etc.)
+constexpr double kInputByteS = 2.5e-5;       ///< scan+deserialise
+constexpr double kOutputByteS = 2.5e-5;      ///< serialise+write
+constexpr double kShuffleFetchByteS = 2e-5;  ///< reduce-side network fetch
+constexpr double kRecordS = 1.5e-6;          ///< per-record operator work
+constexpr double kDigestByteS = 5e-6;  ///< SHA-256 (~5x faster than a scan)
+}  // namespace
+
 ExecutionTracker::ExecutionTracker(EventSim& sim, mapreduce::Dfs& dfs,
                                    TrackerConfig cfg)
     : sim_(sim), dfs_(dfs), cfg_(std::move(cfg)) {
@@ -233,12 +251,11 @@ void ExecutionTracker::start_task(NodeId nid, const TaskRef& ref) {
   const MRJobSpec& spec = *run.spec;
   resources_.allocate(nid, spec.sid);
   pinned_.emplace(std::make_pair(nid, spec.sid), run.replica);
-  if (run.nodes.insert(nid).second) {
-    // Suspicion denominator counts jobs *scheduled* on the node, not jobs
-    // completed — a node that hangs everything it touches must still
-    // accumulate a meaningful ratio.
-    resources_.record_execution(nid);
-    if (on_node_assigned) on_node_assigned(ref.run, nid);
+  if (run.nodes.insert(nid).second && on_node_assigned) {
+    // The control tier's suspicion denominator counts jobs *scheduled* on
+    // the node, not jobs completed — a node that hangs everything it
+    // touches must still accumulate a meaningful ratio.
+    on_node_assigned(ref.run, nid);
   }
   (ref.reduce ? run.reduce_status : run.map_status)[ref.index] =
       TaskStatus::kRunning;
@@ -328,7 +345,6 @@ void ExecutionTracker::commit_in_flight() {
   // time does not advance inside a dispatch sweep.
   for (InFlightTask& fl : in_flight_) {
     JobRun& run = runs_[fl.ref.run];
-    const CostModel& cm = cfg_.cost;
     const double speed = node_speed(fl.nid);
     if (!fl.ref.reduce) {
       mapreduce::MapTaskResult result = fl.map_ready.has_value()
@@ -336,11 +352,11 @@ void ExecutionTracker::commit_in_flight() {
                                             : fl.map_future.get();
       const mapreduce::TaskMetrics& m = result.metrics;
       const double duration =
-          (cm.task_overhead_s +
-           static_cast<double>(m.input_bytes) * cm.input_byte_s +
-           static_cast<double>(m.output_bytes) * cm.output_byte_s +
-           static_cast<double>(m.records_in) * cm.record_s +
-           static_cast<double>(m.digested_bytes) * cm.digest_byte_s) /
+          (kTaskOverheadS +
+           static_cast<double>(m.input_bytes) * kInputByteS +
+           static_cast<double>(m.output_bytes) * kOutputByteS +
+           static_cast<double>(m.records_in) * kRecordS +
+           static_cast<double>(m.digested_bytes) * kDigestByteS) /
           speed;
       account_task(fl.ref.run, fl.nid, m, duration, /*reduce=*/false,
                    run.spec->map_only());
@@ -354,12 +370,12 @@ void ExecutionTracker::commit_in_flight() {
                                                : fl.reduce_future.get();
       const mapreduce::TaskMetrics& m = result.metrics;
       const double duration =
-          (cm.task_overhead_s +
+          (kTaskOverheadS +
            static_cast<double>(m.input_bytes) *
-               (cm.input_byte_s + cm.shuffle_fetch_byte_s) +
-           static_cast<double>(m.output_bytes) * cm.output_byte_s +
-           static_cast<double>(m.records_in) * cm.record_s +
-           static_cast<double>(m.digested_bytes) * cm.digest_byte_s) /
+               (kInputByteS + kShuffleFetchByteS) +
+           static_cast<double>(m.output_bytes) * kOutputByteS +
+           static_cast<double>(m.records_in) * kRecordS +
+           static_cast<double>(m.digested_bytes) * kDigestByteS) /
           speed;
       account_task(fl.ref.run, fl.nid, m, duration, /*reduce=*/true, false);
       sim_.schedule_after(duration, [this, nid = fl.nid, ref = fl.ref,

@@ -36,28 +36,9 @@ class ThreadPool;
 
 namespace clusterbft::cluster {
 
-/// Cost model translating task work into simulated seconds.
-///
-/// Calibrated to commodity 2013 hardware *ratios* (scan ~40 MB/s, SHA-256
-/// ~200 MB/s, shuffle fetch ~50 MB/s), with one canonical byte standing
-/// for ~1 KB of the paper's on-disk data: the evaluation inputs are GB-
-/// scale and data-bound, while the synthetic relations here are MB-scale.
-/// Only the ratios matter for reproducing the paper's shapes — a digest
-/// pass costs ~1/5 of a scan pass of the same stream, which is what puts
-/// single-verification-point overhead in the paper's ~8% range.
-struct CostModel {
-  double task_overhead_s = 0.4;       ///< per-task startup (JVM spawn etc.)
-  double input_byte_s = 2.5e-5;       ///< scan+deserialise
-  double output_byte_s = 2.5e-5;      ///< serialise+write
-  double shuffle_fetch_byte_s = 2e-5; ///< reduce-side fetch over the network
-  double record_s = 1.5e-6;           ///< per-record operator work
-  double digest_byte_s = 5e-6;        ///< SHA-256 (~5x faster than a scan)
-};
-
 struct TrackerConfig {
   std::size_t num_nodes = 16;
   std::size_t slots_per_node = 3;
-  CostModel cost;
   std::uint64_t seed = 1;
   /// Per-node adversary policies; missing entries are honest.
   std::map<NodeId, AdversaryPolicy> policies;

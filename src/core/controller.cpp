@@ -148,21 +148,9 @@ std::size_t ClusterBft::active_sessions() const {
   return unfinished_;
 }
 
-std::size_t ClusterBft::healthy_pool_size() const {
-  const common::RoleGuard held(common::scheduler_thread_role);
-  const std::size_t excluded = cp_.excluded_nodes().size();
-  const std::size_t total = cp_.cluster_size();
-  return total > excluded ? total - excluded : 0;
-}
-
 std::size_t ClusterBft::placement_capacity(
     const ClientRequest& request) const {
   const common::RoleGuard held(common::scheduler_thread_role);
-  if (cp_.cloud_count() <= 1) {
-    const std::size_t excluded = cp_.excluded_nodes().size();
-    const std::size_t total = cp_.cluster_size();
-    return total > excluded ? total - excluded : 0;
-  }
   std::size_t capacity = 0;
   for (std::uint64_t c : placement_candidates(request.placement)) {
     capacity += cp_.healthy_in_cloud(c);
@@ -412,23 +400,17 @@ void ClusterBft::mark_stalled(ScriptSession& s) {
 
 ScriptResult ClusterBft::collect(ScriptSession& s) {
   ScriptResult result;
+  result.metrics = s.metrics;
   result.metrics.waves = s.waves.size();
-  for (std::size_t run : s.my_runs) {
-    const auto& m = cp_.run_metrics(run);
+  for (const auto& entry : s.run_info) {
+    const auto& m = cp_.run_metrics(entry.first);
     result.metrics.cpu_seconds += m.cpu_seconds;
     result.metrics.file_read += m.file_read;
     result.metrics.file_write += m.file_write;
     result.metrics.hdfs_write += m.hdfs_write;
     result.metrics.digested += m.digested;
   }
-  result.metrics.runs = s.my_runs.size();
-  result.metrics.digest_reports = s.digest_reports;
-  result.metrics.rollbacks = s.rollbacks;
-  result.metrics.cache_hits = s.cache_hits;
-  result.metrics.checkpoints = s.checkpoints;
-  result.metrics.checkpoint_bytes = s.checkpoint_bytes;
-  result.metrics.escalations = s.escalations;
-  result.metrics.cloud_failovers = s.cloud_failovers;
+  result.metrics.runs = s.run_info.size();
   result.commission_faults_seen = s.commission_seen;
   result.omission_faults_seen = s.omission_seen;
 
@@ -515,7 +497,6 @@ std::vector<ScriptResult> ClusterBft::recover_all(
 
   // ---- replay: rebuild state, sends muted, appends suppressed ----
   journal_->begin_replay();
-  replaying_ = true;
   cp_.mute(true);
   while (const JournalRecord* rec = journal_->peek()) {
     replay_now_ = rec->time;
@@ -523,7 +504,6 @@ std::vector<ScriptResult> ClusterBft::recover_all(
     journal_->advance();
   }
   journal_->end_replay();
-  replaying_ = false;
   cp_.mute(false);
 
   if (sessions_.empty()) {
@@ -639,8 +619,8 @@ void ClusterBft::replay_record(
     case RecordKind::kCloudFailover:
       // Decision records: re-derived by the replayed handlers above
       // (their appends are suppressed in replay mode). kRunDispatched
-      // frames are re-captured into the session's dispatch_frames by the
-      // replayed submit_job, kCacheHit adoptions by the replayed
+      // frames are re-captured into each run's RunInfo by the replayed
+      // submit_job, kCacheHit adoptions by the replayed
       // begin_script — bit-identical because the handlers are
       // deterministic.
       break;
@@ -673,15 +653,11 @@ void ClusterBft::resync() {
   // re-asserted instead. Iterating the run->session index walks every
   // session's runs in global dispatch (run-id) order.
   for (const auto& [run, sid] : session_of_run_) {
-    ScriptSession& s = *sessions_[sid - 1];
-    if (s.rolled_back_runs.count(run) != 0) {
+    if (cp_.run_cancelled(run)) {
       cp_.resend(protocol::Message{protocol::CancelRun{run}});
     } else if (!cp_.run_complete(run)) {
-      const auto it = s.dispatch_frames.find(run);
-      CBFT_CHECK_MSG(it != s.dispatch_frames.end(),
-                     "recovery: no journaled frame for run " +
-                         std::to_string(run));
-      const auto m = protocol::decode(it->second);
+      const auto m =
+          protocol::decode(sessions_[sid - 1]->run_info.at(run).frame);
       CBFT_CHECK_MSG(m.has_value(),
                      "recovery: journaled dispatch frame undecodable");
       cp_.resend(*m);
@@ -828,31 +804,35 @@ void ClusterBft::apply_probe_outcome(std::uint64_t suspect,
 }
 
 std::string ClusterBft::wave_scope(const ScriptSession& s,
-                                   const Wave& w) const {
-  return s.scope + "/w" + std::to_string(w.replica) + "/";
+                                   std::size_t wave_index) const {
+  return s.scope + "/w" + std::to_string(wave_index) + "/";
 }
 
 bool ClusterBft::ensure_capacity(ScriptSession& s) {
   const std::size_t need = s.base_replicas;
-  if (cp_.cloud_count() > 1 &&
-      placement_candidates(s.request.placement).empty()) {
-    // Every cloud the placement policy may use is down (or fully
-    // excluded): no wave is placeable anywhere. Node-level degradation
-    // cannot help — the clouds are unreachable, not suspect — so fail
-    // honestly.
+  const auto fail_honestly = [&](const std::string& why) {
     if (!journal_decision(static_cast<std::uint32_t>(s.id),
                           RecordKind::kPoolExhausted, {})) {
       return false;
     }
     audit_.record(now(), AuditEvent::Kind::kPoolExhausted,
-                  s.request.name + ": no cloud available under " +
-                      std::string(to_string(s.request.placement)) +
-                      " placement; failing honestly",
-                  "", {}, s.scope);
+                  s.request.name + ": " + why + "; failing honestly", "", {},
+                  s.scope);
     s.failure = FailureReason::kPoolExhausted;
     finish(s, false);
     return false;
+  };
+  if (cp_.cloud_count() > 1 &&
+      placement_candidates(s.request.placement).empty()) {
+    // Every cloud the placement policy may use is down (or fully
+    // excluded): no wave is placeable anywhere. Node-level degradation
+    // cannot help — the clouds are unreachable, not suspect.
+    return fail_honestly("no cloud available under " +
+                         std::string(to_string(s.request.placement)) +
+                         " placement");
   }
+  // Exclusions are a subset of the announced nodes (the mirror drops
+  // membership events for unannounced ids), so this cannot wrap.
   std::vector<std::uint64_t> excluded = cp_.excluded_nodes();
   // Nodes already re-admitted this script but whose NodeReadmitted echo
   // has not arrived count as healthy — they were handed back already.
@@ -869,20 +849,10 @@ bool ClusterBft::ensure_capacity(ScriptSession& s) {
   if (s.request.degraded_mode == DegradedMode::kFail ||
       cp_.cluster_size() < need) {
     // Nothing to degrade onto (or the client refused degradation): fail
-    // honestly instead of spinning forever on an unplaceable wave.
-    if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                          RecordKind::kPoolExhausted, {})) {
-      return false;
-    }
-    audit_.record(now(), AuditEvent::Kind::kPoolExhausted,
-                  s.request.name + ": healthy pool (" +
-                      std::to_string(healthy) +
-                      " nodes) below replication factor " +
-                      std::to_string(need) + "; failing honestly",
-                  "", {}, s.scope);
-    s.failure = FailureReason::kPoolExhausted;
-    finish(s, false);
-    return false;
+    // instead of spinning forever on an unplaceable wave.
+    return fail_honestly("healthy pool (" + std::to_string(healthy) +
+                         " nodes) below replication factor " +
+                         std::to_string(need));
   }
 
   // Graceful degradation: re-admit the least-suspect excluded nodes
@@ -986,7 +956,7 @@ void ClusterBft::create_wave(ScriptSession& s,
                           RecordKind::kCloudFailover, fw.take())) {
       return;
     }
-    ++s.cloud_failovers;
+    ++s.metrics.cloud_failovers;
     const std::string what =
         disputed_job ? s.dag.jobs[*disputed_job].sid : s.request.name;
     audit_.record(now(), AuditEvent::Kind::kCloudFailover,
@@ -1006,7 +976,6 @@ void ClusterBft::create_wave(ScriptSession& s,
     return;
   }
   Wave w;
-  w.replica = s.waves.size();
   w.cloud = cloud;
   w.failover = failover;
   w.includes.resize(s.dag.jobs.size());
@@ -1143,7 +1112,7 @@ void ClusterBft::submit_job(ScriptSession& s, std::size_t wave_index,
   // deployment): a node that corrupted one wave should not get the
   // chance to corrupt its replacement.
   std::set<NodeId> avoid;
-  if (w.replica >= s.base_replicas) {
+  if (wave_index >= s.base_replicas) {
     if (fault_analyzer_) avoid = fault_analyzer_->suspects();
     // Nodes involved in timed-out (non-responding) replicas never
     // reach the commission-fault analyzer; steer around them too.
@@ -1162,14 +1131,16 @@ void ClusterBft::submit_job(ScriptSession& s, std::size_t wave_index,
                                ? cp_.cloud_size(w.cloud)
                                : cp_.cluster_size();
   const std::size_t max_nodes = std::max<std::size_t>(1, pool / groups);
-  RunInfo info{wave_index, j, {}};
+  RunInfo info;
+  info.wave = wave_index;
+  info.job = j;
   protocol::SubmitRun msg;
   const std::size_t run = cp_.next_run_id();
   msg.run = run;
   msg.session = s.id;
   msg.program = s.program_id;
   msg.job_index = j;
-  msg.replica = w.replica;
+  msg.replica = wave_index;
   for (std::string& p : resolve_inputs(s, w, j, &info.upstream_runs)) {
     msg.input_paths.emplace_back(std::move(p));
   }
@@ -1182,7 +1153,8 @@ void ClusterBft::submit_job(ScriptSession& s, std::size_t wave_index,
   // a stale run can only ever write to its own dead location; correctness
   // never depends on cancellation actually being delivered.
   msg.output_path =
-      wave_scope(s, w) + "r" + std::to_string(run) + "/" + spec.output_path;
+      wave_scope(s, wave_index) + "r" + std::to_string(run) + "/" +
+      spec.output_path;
   msg.avoid.assign(avoid.begin(), avoid.end());
   msg.max_nodes = max_nodes;
   msg.cloud = w.cloud;
@@ -1190,7 +1162,7 @@ void ClusterBft::submit_job(ScriptSession& s, std::size_t wave_index,
   // session is blocked on them, while first-wave work is bulk throughput.
   // Only the adaptive knobs set the flag so baseline scheduling is
   // bit-identical with them off.
-  if (w.replica >= s.base_replicas &&
+  if (wave_index >= s.base_replicas &&
       (s.request.adaptive_checkpoints ||
        s.request.assurance == Assurance::kAdaptive)) {
     msg.urgent = 1;
@@ -1203,18 +1175,15 @@ void ClusterBft::submit_job(ScriptSession& s, std::size_t wave_index,
   // Write-ahead: the exact dispatch bytes (run id pre-assigned) go to the
   // journal first; resync() re-sends them for runs whose completion was
   // never journaled.
-  std::vector<std::uint8_t> frame =
-      protocol::encode(protocol::Message{msg});
+  info.frame = protocol::encode(protocol::Message{msg});
   if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                        RecordKind::kRunDispatched, frame)) {
+                        RecordKind::kRunDispatched, info.frame)) {
     return;
   }
-  s.dispatch_frames[run] = std::move(frame);
   const std::size_t assigned = cp_.submit_run(std::move(msg));
   CBFT_CHECK(assigned == run);
   w.run_of[j] = run;
   s.run_info[run] = std::move(info);
-  s.my_runs.push_back(run);
   session_of_run_[run] = s.id;
   const bool gating = !spec.vps.empty();
   s.verifier->expect_run(spec.sid, run, gating);
@@ -1235,7 +1204,7 @@ std::size_t ClusterBft::arm_timer(TimerSpec spec, double delay) {
   timers_[id] = spec;
   // During recovery replay the sim is not touched: resync() re-arms
   // whatever is still pending once replay finished.
-  if (!replaying_) {
+  if (!replaying()) {
     sim_.schedule_after(delay, [this, id] {
       const common::RoleGuard held(common::scheduler_thread_role);
       fire_timer(id);
@@ -1284,8 +1253,7 @@ void ClusterBft::handle_digest(const mapreduce::DigestReport& report,
   ScriptSession& s = *sp;
   const auto it = s.run_info.find(run_id);
   if (it == s.run_info.end()) return;
-  if (s.rolled_back_runs.count(run_id)) return;  // forgotten by the verifier
-  ++s.digest_reports;
+  ++s.metrics.digest_reports;
   const MRJobSpec& spec = s.dag.jobs[it->second.job];
   s.verifier->add_report(spec.sid, run_id, report);
 }
@@ -1298,7 +1266,6 @@ void ClusterBft::handle_run_complete(std::size_t run_id) {
   ScriptSession& s = *sp;
   const auto it = s.run_info.find(run_id);
   if (it == s.run_info.end()) return;
-  if (s.rolled_back_runs.count(run_id)) return;
   const std::size_t j = it->second.job;
   const MRJobSpec& spec = s.dag.jobs[j];
   s.verifier->mark_run_complete(spec.sid, run_id);
@@ -1477,7 +1444,7 @@ void ClusterBft::need_wave(ScriptSession& s, std::size_t j, bool force) {
                           RecordKind::kEscalation, wr.take())) {
       return;
     }
-    ++s.escalations;
+    ++s.metrics.escalations;
     audit_.record(now(), AuditEvent::Kind::kEscalation,
                   s.dag.jobs[j].sid + " escalated to replication degree " +
                       std::to_string(covering + 1) + " (cap " +
@@ -1490,7 +1457,7 @@ void ClusterBft::need_wave(ScriptSession& s, std::size_t j, bool force) {
 FaultAnalyzer::NodeSet ClusterBft::cluster_of(const ScriptSession& s,
                                               std::size_t run_id) const {
   FaultAnalyzer::NodeSet nodes;
-  const RunInfo info = s.run_info.at(run_id);
+  const RunInfo& info = s.run_info.at(run_id);
   const Wave& w = s.waves[info.wave];
 
   // BFS back through dependencies, stopping at gating jobs (their own
@@ -1519,7 +1486,9 @@ void ClusterBft::attribute_commission(
     ScriptSession& s, const std::vector<std::size_t>& deviant_runs) {
   for (std::size_t run : deviant_runs) {
     if (crashed_) return;
-    if (!s.attributed_runs.insert(run).second) continue;
+    RunInfo& info = s.run_info.at(run);
+    if (info.attributed) continue;
+    info.attributed = true;
     ++s.commission_seen;
     const FaultAnalyzer::NodeSet nodes = cluster_of(s, run);
     if (nodes.empty()) continue;
@@ -1530,10 +1499,9 @@ void ClusterBft::attribute_commission(
                           RecordKind::kSuspicionUpdate, wr.take())) {
       return;
     }
+    const std::string& sid = s.dag.jobs[info.job].sid;
     audit_.record(now(), AuditEvent::Kind::kCommissionFault,
-                  "deviant replica of " +
-                      s.dag.jobs[s.run_info.at(run).job].sid,
-                  s.dag.jobs[s.run_info.at(run).job].sid, nodes, s.scope);
+                  "deviant replica of " + sid, sid, nodes, s.scope);
     for (NodeId n : nodes) cp_.record_fault(n);
     if (!fault_analyzer_) {
       fault_analyzer_ = std::make_unique<FaultAnalyzer>(
@@ -1553,7 +1521,9 @@ void ClusterBft::attribute_omission(ScriptSession& s,
                                     const std::vector<std::size_t>& runs) {
   for (std::size_t run : runs) {
     if (crashed_) return;
-    if (!s.attributed_runs.insert(run).second) continue;
+    RunInfo& info = s.run_info.at(run);
+    if (info.attributed) continue;
+    info.attributed = true;
     ++s.omission_seen;
     common::WireWriter wr;
     wr.u64(run);
@@ -1562,10 +1532,9 @@ void ClusterBft::attribute_omission(ScriptSession& s,
                           RecordKind::kSuspicionUpdate, wr.take())) {
       return;
     }
+    const std::string& sid = s.dag.jobs[info.job].sid;
     audit_.record(now(), AuditEvent::Kind::kOmissionFault,
-                  "replica of " + s.dag.jobs[s.run_info.at(run).job].sid +
-                      " missed the verifier timeout",
-                  s.dag.jobs[s.run_info.at(run).job].sid,
+                  "replica of " + sid + " missed the verifier timeout", sid,
                   {cp_.run_nodes(run).begin(), cp_.run_nodes(run).end()},
                   s.scope);
     // Omission is detectable but not attributable to a specific node
@@ -1626,23 +1595,22 @@ void ClusterBft::rollback_tainted(
       // cancelled.
       continue;
     }
-    if (s.rolled_back_runs.count(run) != 0) continue;
+    if (cp_.run_cancelled(run)) continue;
     common::WireWriter wr;
     wr.u64(run);
     if (!journal_decision(static_cast<std::uint32_t>(s.id),
                           RecordKind::kRollback, wr.take())) {
       return;
     }
-    s.rolled_back_runs.insert(run);
-    ++s.rollbacks;
+    ++s.metrics.rollbacks;
     cp_.cancel_run(run);
     s.verifier->forget_run(s.dag.jobs[j].sid, run);
     if (s.first_complete_run[j] && *s.first_complete_run[j] == run) {
-      // Rescan: another (non-rolled-back) completed replica may exist.
+      // Rescan: another completed replica may exist (a rolled-back run
+      // never counts as complete).
       s.first_complete_run[j] = std::nullopt;
       for (const auto& [other, other_info] : s.run_info) {
-        if (other_info.job != j || s.rolled_back_runs.count(other)) continue;
-        if (!cp_.run_complete(other)) continue;
+        if (other_info.job != j || !cp_.run_complete(other)) continue;
         s.first_complete_run[j] = other;
         break;
       }
@@ -1787,7 +1755,7 @@ void ClusterBft::adopt_cache_hits(ScriptSession& s) {
     s.verified_path[j] = e->path;
     s.verified_fp_hex[j] = e->fingerprint.hex();
     s.contributors[j] = e->contributors;
-    ++s.cache_hits;
+    ++s.metrics.cache_hits;
     store_.adopted(VerifiedStore::Reuse::kCacheHit);
     audit_.record(now(), AuditEvent::Kind::kCacheHit,
                   s.dag.jobs[j].sid +
@@ -1870,11 +1838,11 @@ void ClusterBft::store_verified(ScriptSession& s, std::size_t j,
       const std::string path = "ckpt/" + key.hex();
       dfs_.write(path, dfs_.read(s.verified_path[j]));
       const std::uint64_t bytes = dfs_.size_of(path);
-      s.checkpoint_bytes += bytes;
+      s.metrics.checkpoint_bytes += bytes;
       s.verified_path[j] = path;
       store_.insert(key, {fp, path, s.contributors[j], true, bytes});
     }
-    ++s.checkpoints;
+    ++s.metrics.checkpoints;
     audit_.record(now(), AuditEvent::Kind::kCheckpoint,
                   s.dag.jobs[j].sid +
                       (adopt ? " adopted checkpoint (key "

@@ -163,14 +163,11 @@ class ClusterBft {
   /// Result of a finished session (promotes outputs, journals the
   /// session's kScriptFinish). Callable once per session.
   ScriptResult collect_session(std::size_t session);
-  /// Nodes currently schedulable: cluster size minus exclusions — what
-  /// admission weighs aggregate r against.
-  std::size_t healthy_pool_size() const;
   /// Placement-aware capacity (ISSUE 10): healthy nodes in the clouds
   /// the request's placement policy may actually use (down clouds
-  /// excluded). Collapses to healthy_pool_size() when at most one cloud
-  /// is attached, so single-cloud admission is unchanged. Read-only —
-  /// the front end weighs aggregate demand against it.
+  /// excluded). With one cloud attached this is the cluster size minus
+  /// exclusions. Read-only — the front end weighs aggregate demand
+  /// against it.
   std::size_t placement_capacity(const ClientRequest& request) const;
   /// Counters of the shared verified-result store (cache hits and
   /// checkpoints alike).
@@ -337,7 +334,11 @@ class ClusterBft {
   /// uses this so a recovered history is bit-identical.
   cluster::SimTime now() const
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role) {
-    return replaying_ ? replay_now_ : sim_.now();
+    return replaying() ? replay_now_ : sim_.now();
+  }
+  /// Recovery replay in progress (sends muted, appends suppressed).
+  bool replaying() const {
+    return journal_ != nullptr && journal_->replaying();
   }
   std::size_t arm_timer(TimerSpec spec, double delay)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
@@ -390,7 +391,7 @@ class ClusterBft {
                           const std::vector<std::size_t>& runs)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
 
-  std::string wave_scope(const ScriptSession& s, const Wave& w) const
+  std::string wave_scope(const ScriptSession& s, std::size_t wave_index) const
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   bool deps_ready(const ScriptSession& s, const Wave& w,
                   std::size_t job) const
@@ -421,8 +422,6 @@ class ClusterBft {
   // Crash / replay state.
   /// Injected crash fired; every handler no-ops.
   bool crashed_ CBFT_SCHED = false;
-  /// Recovery replay in progress: sends muted.
-  bool replaying_ CBFT_SCHED = false;
   /// Timestamp of the replayed record.
   cluster::SimTime replay_now_ CBFT_SCHED = 0;
 

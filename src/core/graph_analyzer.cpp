@@ -219,7 +219,7 @@ CheckpointPlacement select_checkpoints(
   const double risk = std::min(1.0, 0.25 + 4.0 * suspicion_prior);
   // Serialising a byte to the DFS is roughly an order of magnitude
   // cheaper than re-deriving it (scan + operator + digest passes; see
-  // cluster::CostModel ratios).
+  // the cost-model ratios in cluster/tracker.cpp).
   constexpr double kWriteCostFactor = 0.1;
 
   for (std::size_t j = 0; j < dag.jobs.size(); ++j) {

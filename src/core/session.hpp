@@ -16,6 +16,10 @@
 // serial-vs-concurrent bit-identity tests rest on. The journal stores
 // the controller-global `id` (admission order) in every record's session
 // field; recovery re-creates sessions in that order, so ids match again.
+//
+// One record per fact: each dispatched run has one RunInfo, keyed by run
+// id (ids ascend in dispatch order); a rollback is the control plane's
+// cancellation state; the counters are the session's ScriptMetrics.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +42,8 @@
 namespace clusterbft::core {
 
 struct ScriptSession {
+  /// A wave's index in `waves` is its replica number.
   struct Wave {
-    std::size_t replica = 0;
     /// Per job; a scoped rerun/escalation wave (adaptive_checkpoints)
     /// includes only the disputed job's unverified-ancestor closure.
     std::vector<bool> includes;
@@ -58,6 +62,11 @@ struct ScriptSession {
     /// the taint edges rollback propagates along. Verified inputs are
     /// trusted and record no edge.
     std::vector<std::size_t> upstream_runs;
+    /// The exact SubmitRun bytes journaled for the run — what resync()
+    /// re-sends when its completion was never journaled.
+    std::vector<std::uint8_t> frame;
+    /// Already blamed (commission or omission); blame is counted once.
+    bool attributed = false;
   };
 
   /// Controller-global session id (1-based admission order); the value
@@ -82,6 +91,7 @@ struct ScriptSession {
   std::unique_ptr<Verifier> verifier;
 
   std::vector<Wave> waves;
+  /// Run id -> the run's record, for every run this session dispatched.
   std::map<std::size_t, RunInfo> run_info;
   std::vector<bool> verified;              ///< per job
   std::vector<std::string> verified_path;  ///< per job
@@ -92,15 +102,6 @@ struct ScriptSession {
   std::vector<std::optional<std::size_t>> first_complete_run;
   /// Output path -> job.
   std::map<std::string, std::size_t> job_by_output;
-  std::vector<std::size_t> my_runs;
-  /// Runs already blamed.
-  std::set<std::size_t> attributed_runs;
-  /// Cancelled as tainted.
-  std::set<std::size_t> rolled_back_runs;
-  std::size_t rollbacks = 0;
-  /// The exact SubmitRun bytes journaled for each of my_runs — what
-  /// resync() re-sends for runs whose completion was never journaled.
-  std::map<std::size_t, std::vector<std::uint8_t>> dispatch_frames;
   /// Excluded nodes re-admitted by graceful degradation this script.
   std::set<cluster::NodeId> degraded_nodes;
   bool degraded = false;
@@ -125,7 +126,9 @@ struct ScriptSession {
   cluster::SimTime finish_time = 0;
   std::size_t commission_seen = 0;
   std::size_t omission_seen = 0;
-  std::size_t digest_reports = 0;
+  /// Counters the handlers increment in place; collect() adds waves,
+  /// runs, latency and the per-run resource sums from the mirror.
+  ScriptMetrics metrics;
 
   // ---- verified-result store bookkeeping (use_result_cache or
   // adaptive_checkpoints) ----
@@ -145,17 +148,12 @@ struct ScriptSession {
   /// Per job: hex fingerprint of the verified digest vector (evidence a
   /// cache hit must reproduce byte-identically).
   std::vector<std::string> verified_fp_hex;
-  std::size_t cache_hits = 0;
 
   // ---- adaptive checkpointing (request.adaptive_checkpoints) ----
   /// Per job: selected by the graph analyzer's cost model — when this
   /// job verifies, its relation is materialised to (or adopted from) a
   /// durable store entry.
   std::vector<bool> ckpt_selected;
-  std::size_t checkpoints = 0;            ///< metrics.checkpoints
-  std::uint64_t checkpoint_bytes = 0;     ///< metrics.checkpoint_bytes
-  std::size_t escalations = 0;            ///< metrics.escalations
-  std::size_t cloud_failovers = 0;        ///< metrics.cloud_failovers
 };
 
 }  // namespace clusterbft::core

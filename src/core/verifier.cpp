@@ -172,18 +172,6 @@ std::optional<Verifier::Decision> Verifier::try_decide(
   return d;
 }
 
-std::vector<std::size_t> Verifier::current_deviants(const std::string& sid) {
-  const common::RoleGuard held(common::scheduler_thread_role);
-  JobState* job = find(sid);
-  CBFT_CHECK(job != nullptr);
-  const auto groups = agreement_groups(*job);
-  std::vector<std::size_t> out;
-  for (std::size_t g = 1; g < groups.size(); ++g) {
-    out.insert(out.end(), groups[g].begin(), groups[g].end());
-  }
-  return out;
-}
-
 bool Verifier::run_agrees(const std::string& sid, std::size_t a,
                           std::size_t b) {
   const common::RoleGuard held(common::scheduler_thread_role);

@@ -71,13 +71,10 @@ class Verifier {
 
   /// Decide `sid` if possible: verified when >= f+1 completed runs agree
   /// on the entire digest vector. Returns nullopt for non-gating jobs and
-  /// for jobs without enough agreement yet (deviants are still reported
-  /// through `current_deviants`).
+  /// for jobs without enough agreement yet. Deviants exist only relative
+  /// to a verified majority: without one there is no ground truth, so a
+  /// 1-vs-1 tie names no deviant (the controller escalates instead).
   std::optional<Decision> try_decide(const std::string& sid);
-
-  /// Completed runs that disagree with the (possibly not yet sufficient)
-  /// plurality — used for eager fault attribution.
-  std::vector<std::size_t> current_deviants(const std::string& sid);
 
   /// Whether two completed runs of `sid` produced identical digest
   /// vectors — used to classify a replica that completes only after its

@@ -53,25 +53,20 @@ bool Frontend::can_admit(const Ticket& t) const {
       it->second.inflight >= options_.per_tenant_inflight) {
     return false;
   }
-  if (options_.respect_pool_capacity) {
-    // Adaptive requests only launch f+1 chains up front, so that is the
-    // capacity they reserve; escalations borrow from the pool like rerun
-    // waves always have (base_replication keeps this in lock-step with
-    // the controller's wave scheduling).
-    const std::size_t demand = core::base_replication(t.submission.request);
-    // One session may always run: a pool permanently smaller than one
-    // request's r must reach the controller's degraded-mode machinery,
-    // not starve in this queue. Capacity is placement-aware (ISSUE 10):
-    // a request pinned to one cloud weighs its demand against that
-    // cloud's healthy nodes, not the whole fleet — with one cloud
-    // attached this is exactly healthy_pool_size().
-    if (inflight_total_ > 0 &&
-        inflight_demand_ + demand >
-            controller_.placement_capacity(t.submission.request)) {
-      return false;
-    }
-  }
-  return true;
+  // Queue while aggregate r across in-flight sessions would exceed the
+  // healthy pool. Adaptive requests only launch f+1 chains up front, so
+  // that is the capacity they reserve; escalations borrow from the pool
+  // like rerun waves always have (base_replication keeps this in
+  // lock-step with the controller's wave scheduling).
+  const std::size_t demand = core::base_replication(t.submission.request);
+  // One session may always run: a pool permanently smaller than one
+  // request's r must reach the controller's degraded-mode machinery, not
+  // starve in this queue. Capacity is placement-aware (ISSUE 10): a
+  // request pinned to one cloud weighs its demand against that cloud's
+  // healthy nodes, not the whole fleet.
+  return inflight_total_ == 0 ||
+         inflight_demand_ + demand <=
+             controller_.placement_capacity(t.submission.request);
 }
 
 void Frontend::admit(std::size_t ticket) {

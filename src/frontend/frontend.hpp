@@ -18,12 +18,12 @@
 //    — priority 0 preempts the queue, not running sessions;
 //  * a tenant never holds more than `per_tenant_inflight` concurrent
 //    sessions, the service never more than `max_concurrent`;
-//  * when `respect_pool_capacity` is on, a request is only admitted while
-//    the aggregate replication demand (sum of max(1, r) over in-flight
-//    sessions plus the candidate) fits the controller's healthy pool —
-//    except that ONE session may always run (otherwise a pool smaller
-//    than a single request's r would deadlock the queue; the controller's
-//    own degraded-mode machinery handles that case).
+//  * a request is only admitted while the aggregate replication demand
+//    (sum of each in-flight session's base replication plus the
+//    candidate's) fits the controller's placement capacity — except that
+//    ONE session may always run (otherwise a pool smaller than a single
+//    request's r would deadlock the queue; the controller's own
+//    degraded-mode machinery handles that case).
 //
 // run() drives admission and the shared event loop until every submitted
 // request completed, then freezes the service metrics (admitted / queued
@@ -49,9 +49,6 @@ struct FrontendOptions {
   std::size_t max_concurrent = 8;
   /// Per-tenant cap on concurrently admitted sessions.
   std::size_t per_tenant_inflight = 2;
-  /// Queue while aggregate r across in-flight sessions would exceed the
-  /// healthy pool (one session is always allowed to run).
-  bool respect_pool_capacity = true;
 };
 
 struct Submission {

@@ -15,6 +15,9 @@ using dataflow::OpNode;
 
 namespace {
 
+/// Prefix for intermediate (non-STORE) job outputs.
+constexpr const char* kTmpPrefix = "tmp/";
+
 /// An un-materialised map-side computation: branches of streaming work.
 struct Pipeline {
   std::vector<MapBranch> branches;
@@ -59,7 +62,7 @@ class Compiler {
     if (closed_[j]) return;
     closed_[j] = true;
     if (job(j).output_path.empty()) {
-      job(j).output_path = opts_.tmp_prefix + opts_.sid_prefix + "/j" +
+      job(j).output_path = kTmpPrefix + opts_.sid_prefix + "/j" +
                            std::to_string(j) + ".out";
     }
   }

@@ -22,9 +22,6 @@ struct CompileOptions {
   /// sid = sid_prefix + ":j" + job_index. Replicas of one sub-graph share
   /// the sid; the scheduler uses it to avoid collocating replicas.
   std::string sid_prefix = "script";
-
-  /// Prefix for intermediate (non-STORE) job outputs.
-  std::string tmp_prefix = "tmp/";
 };
 
 /// Compile `plan`, instrumenting the given verification points (vertices

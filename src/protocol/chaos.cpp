@@ -7,6 +7,12 @@
 
 namespace clusterbft::protocol {
 
+namespace {
+/// Extra seconds a reordered message is held back (ChaosConfig::
+/// reorder_prob), letting later messages overtake it.
+constexpr double kReorderDelayS = 0.05;
+}  // namespace
+
 void ChaosTransport::send(Message m, bool up) {
   const bool is_digest = std::holds_alternative<DigestBatch>(m);
 
@@ -33,7 +39,7 @@ void ChaosTransport::send(Message m, bool up) {
 
   if (cfg_.reorder_prob > 0 && rng_.chance(cfg_.reorder_prob)) {
     ++reordered_;
-    delay += cfg_.reorder_delay_s;
+    delay += kReorderDelayS;
   }
 
   if (cfg_.corrupt_prob > 0 && rng_.chance(cfg_.corrupt_prob) &&

@@ -46,10 +46,8 @@ struct ChaosConfig {
   double digest_blackout_until_s = 0.0;
 
   /// Adversarial reordering: with this probability a message is held
-  /// back by `reorder_delay_s` extra seconds, letting later messages
-  /// overtake it.
+  /// back by an extra 50 ms, letting later messages overtake it.
   double reorder_prob = 0.0;
-  double reorder_delay_s = 0.05;
 
   /// Per-message probability of flipping 1-3 random bytes of the encoded
   /// frame before delivery.

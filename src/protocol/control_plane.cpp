@@ -103,6 +103,11 @@ bool ControlPlane::run_complete(std::size_t run) const {
   return runs_[run].complete && !runs_[run].cancelled;
 }
 
+bool ControlPlane::run_cancelled(std::size_t run) const {
+  CBFT_CHECK(run < runs_.size());
+  return runs_[run].cancelled;
+}
+
 std::string ControlPlane::run_output_path(std::size_t run) const {
   CBFT_CHECK(run < runs_.size());
   return runs_[run].output_path;
@@ -184,12 +189,22 @@ std::vector<std::uint64_t> ControlPlane::apply_suspicion_threshold(
   for (std::uint64_t nid = 0; nid < nodes_.size(); ++nid) {
     const NodeView& n = nodes_[nid];
     if (n.excluded || n.jobs == 0) continue;
-    const double s =
-        static_cast<double>(n.faults) / static_cast<double>(n.jobs);
-    if (s > threshold) newly.push_back(nid);
+    if (suspicion(nid) > threshold) newly.push_back(nid);
   }
   for (std::uint64_t nid : newly) drain_node(nid);
   return newly;
+}
+
+void ControlPlane::set_excluded(std::uint64_t nid, bool excluded) {
+  // Only announced nodes can leave or rejoin the pool: an exclusion
+  // outside the membership would make cluster_size() minus exclusions
+  // meaningless.
+  if (node_cloud_.count(nid) == 0) {
+    CBFT_WARN("control plane: dropping membership event for unannounced "
+              "node " << nid);
+    return;
+  }
+  node(nid).excluded = excluded;
 }
 
 ControlPlane::NodeView& ControlPlane::node(std::uint64_t id) {
@@ -219,7 +234,7 @@ void ControlPlane::handle(const Message& m) {
             if (e.first + e.count > nodes_.size()) {
               nodes_.resize(e.first + e.count);
             }
-            // Set-semantics membership: cluster_size_ counts nodes
+            // Set-semantics membership: node_cloud_ holds the nodes
             // actually announced, so a duplicated announce (transport
             // duplication) or cloud-strided sparse id ranges never
             // inflate it. A node's cloud is fixed by its first announce;
@@ -238,16 +253,9 @@ void ControlPlane::handle(const Message& m) {
             CloudView& cv = clouds_[e.cloud];
             if (cv.nodes.empty()) cv.price_milli = e.price_milli;
             for (std::uint64_t nid : fresh) cv.nodes.insert(nid);
-            cluster_size_ += fresh.size();
           },
-          [this](const NodeDrained& e) {
-            if (e.node >= kMaxNodeId) return;
-            node(e.node).excluded = true;
-          },
-          [this](const NodeReadmitted& e) {
-            if (e.node >= kMaxNodeId) return;
-            node(e.node).excluded = false;
-          },
+          [this](const NodeDrained& e) { set_excluded(e.node, true); },
+          [this](const NodeReadmitted& e) { set_excluded(e.node, false); },
           [this](const NodeStatus& e) {
             if (e.run >= runs_.size() || e.node >= kMaxNodeId) return;
             // Set-insert guard: duplicated NodeStatus must not inflate

@@ -4,12 +4,15 @@
 // sends commands (SubmitRun, ProbeRequest, CancelRun, AddNodes,
 // DrainNode, ReadmitNode) and *mirrors* the computation tier's
 // observable state — run completion, output paths, per-run metrics, run
-// node sets, cluster membership and per-node suspicion — from the event
-// messages streaming back. The controller never touches the execution
-// tracker; everything it used to read from tracker state it now reads
-// from this mirror, which is kept bit-identical under the loopback
-// transport because messages arrive in exactly the order the tracker's
-// hooks fired.
+// node sets and cluster membership — from the event messages streaming
+// back. The controller never touches the execution tracker; everything
+// it used to read from tracker state it now reads from this mirror,
+// which is kept bit-identical under the loopback transport because
+// messages arrive in exactly the order the tracker's hooks fired.
+//
+// This mirror is the only suspicion ledger (§4.1, s = faults / jobs):
+// jobs come from NodeStatus, faults from the controller's attribution;
+// the computation tier only sees the DrainNode of an eviction.
 //
 // Completion gating: a run is complete only once its RunComplete arrived
 // AND the mirror saw as many digest reports as the run claims to have
@@ -25,7 +28,9 @@
 // DigestBatch) via their per-run sequence numbers. Malformed or
 // wrong-side messages are logged and dropped, never trusted: the
 // computation tier is untrusted, so nothing it sends may abort the
-// control tier or drive unbounded allocation.
+// control tier or drive unbounded allocation. That includes a
+// NodeDrained/NodeReadmitted naming an id no NodeAnnounce introduced, so
+// the excluded set always stays inside the announced membership.
 //
 // Crash-recovery support (core::Journal): `defer_inbound` buffers every
 // inbound message arriving before recovery replay finished;
@@ -117,11 +122,14 @@ class ControlPlane {
   };
 
   bool run_complete(std::size_t run) const;
+  /// CancelRun was issued for the run (rollback): it never completes.
+  bool run_cancelled(std::size_t run) const;
   std::string run_output_path(std::size_t run) const;
   const RunMetrics& run_metrics(std::size_t run) const;
   const std::set<std::uint64_t>& run_nodes(std::size_t run) const;
 
-  std::size_t cluster_size() const { return cluster_size_; }
+  /// Announced nodes (duplicate or overlapping announces count once).
+  std::size_t cluster_size() const { return node_cloud_.size(); }
   bool node_excluded(std::uint64_t node) const;
   std::vector<std::uint64_t> excluded_nodes() const;
 
@@ -150,8 +158,8 @@ class ControlPlane {
   /// s = faults / jobs executed (0 when the node never ran a job).
   double suspicion(std::uint64_t node) const;
   /// Drain every node whose suspicion exceeds `threshold`; returns the
-  /// newly drained nodes. Mirrors ResourceTable::apply_threshold
-  /// semantics (nodes with zero executed jobs are never drained).
+  /// newly drained nodes (nodes with zero executed jobs are never
+  /// drained). The mirror marks them excluded on the NodeDrained echo.
   std::vector<std::uint64_t> apply_suspicion_threshold(double threshold);
 
  private:
@@ -185,17 +193,18 @@ class ControlPlane {
   void handle(const Message& m);
   void send(Message m);
   void maybe_complete(std::size_t run);
+  /// NodeDrained / NodeReadmitted echo; dropped for unannounced ids.
+  void set_excluded(std::uint64_t node, bool excluded);
   NodeView& node(std::uint64_t id);
 
   Transport& transport_;
   std::vector<RunView> runs_;
   std::vector<NodeView> nodes_;
   /// cloud id -> announced membership; node id -> owning cloud. Node ids
-  /// are cloud-strided, so nodes_ is indexed sparsely while
-  /// cluster_size_ counts nodes actually announced (not the max id).
+  /// are cloud-strided, so nodes_ is indexed sparsely while node_cloud_
+  /// holds exactly the nodes actually announced (not the max id).
   std::map<std::uint64_t, CloudView> clouds_;
   std::map<std::uint64_t, std::uint64_t> node_cloud_;
-  std::size_t cluster_size_ = 0;
   std::uint64_t command_seq_ = 0;  ///< AddNodes dedup identity
   bool muted_ = false;
   bool defer_ = false;

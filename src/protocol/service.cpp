@@ -48,32 +48,33 @@ ComputationService::ComputationService(cluster::ExecutionTracker& tracker,
         hb.file_read = acct.file_read;
         hb.file_write = acct.file_write;
         hb.digested = acct.digested;
-        hb.seq = next_seq(it->second);
+        hb.seq = ++runs_.at(it->second).seq;
         emit(it->second, std::move(hb));
       };
   tracker_.on_digests = [this](std::vector<mapreduce::DigestReport>&& reports,
                                std::size_t run, cluster::NodeId nid) {
     const auto it = ctl_of_.find(run);
     if (it == ctl_of_.end()) return;
-    digests_sent_[it->second] += reports.size();
+    RunRecord& rec = runs_.at(it->second);
+    rec.digests_sent += reports.size();
     DigestBatch batch{it->second, cfg_.node_base + nid, std::move(reports),
-                      next_seq(it->second)};
+                      ++rec.seq};
     emit(it->second, std::move(batch));
   };
   tracker_.on_run_complete = [this](std::size_t run) {
     const auto it = ctl_of_.find(run);
     if (it == ctl_of_.end()) return;
     const std::uint64_t ctl = it->second;
-    const auto probe = probe_of_.find(ctl);
-    if (probe != probe_of_.end()) {
-      emit(ctl, ProbeReply{probe->second, ctl, tracker_.run_output_path(run)});
+    const RunRecord& rec = runs_.at(ctl);
+    if (rec.probe) {
+      emit(ctl, ProbeReply{*rec.probe, ctl, tracker_.run_output_path(run)});
       return;
     }
     RunComplete rc;
     rc.run = ctl;
     rc.output_path = tracker_.run_output_path(run);
     rc.hdfs_write = tracker_.run_metrics(run).hdfs_write;
-    rc.digest_reports = digests_sent_[ctl];
+    rc.digest_reports = rec.digests_sent;
     emit(ctl, std::move(rc));
   };
   tracker_.on_nodes_added = [this](cluster::NodeId first, std::size_t count) {
@@ -111,16 +112,16 @@ std::set<cluster::NodeId> ComputationService::to_local(
 }
 
 void ComputationService::emit(std::uint64_t ctl_run, Message event) {
-  history_[ctl_run].push_back(event);
+  runs_.at(ctl_run).history.push_back(event);
   transport_.to_control(std::move(event));
 }
 
 void ComputationService::replay_history(std::uint64_t ctl_run) {
-  const auto it = history_.find(ctl_run);
-  if (it == history_.end()) return;
+  const auto it = runs_.find(ctl_run);
+  if (it == runs_.end()) return;
   // Copy: re-delivery runs controller code inline on the loopback
   // transport, which may submit further runs and grow histories.
-  const std::vector<Message> snapshot = it->second;
+  const std::vector<Message> snapshot = it->second.history;
   for (const Message& ev : snapshot) transport_.to_control(ev);
 }
 
@@ -135,7 +136,7 @@ void ComputationService::on_submit(const SubmitRun& m) {
                            << " reached cloud " << cfg_.cloud << "; dropped");
     return;
   }
-  if (!accepted_.insert(m.run).second) {
+  if (!runs_.try_emplace(m.run).second) {
     // Duplicate (transport duplication or crash-recovery resync): the
     // command already executed. Re-emit the run's retained events so
     // anything lost in a crash window reaches the control tier again;
@@ -175,7 +176,7 @@ void ComputationService::on_submit(const SubmitRun& m) {
       m.output_path.str(), to_local(m.avoid), to_local(m.restrict_to),
       m.max_nodes, m.urgent != 0);
   CBFT_CHECK(ctl_of_.at(run) == m.run);
-  tracker_of_[m.run] = run;
+  runs_.at(m.run).tracker_run = run;
 }
 
 void ComputationService::on_probe(const ProbeRequest& m) {
@@ -188,12 +189,12 @@ void ComputationService::on_probe(const ProbeRequest& m) {
                        << " node; dropped");
     return;
   }
-  if (!accepted_.insert(m.run_suspect).second) {
+  if (!runs_.try_emplace(m.run_suspect).second) {
     replay_history(m.run_suspect);
     replay_history(m.run_control);
     return;
   }
-  accepted_.insert(m.run_control);
+  runs_.try_emplace(m.run_control);
   if (!tracker_.dfs().exists(m.input_path.str())) {
     CBFT_WARN("probe " << m.probe << " input missing from DFS: "
                        << m.input_path << "; dropped");
@@ -227,19 +228,21 @@ void ComputationService::on_probe(const ProbeRequest& m) {
   CBFT_CHECK(probe->dag.jobs.size() == 1);
   const mapreduce::MRJobSpec& spec = probe->dag.jobs[0];
 
-  probe_of_[m.run_suspect] = m.probe;
-  probe_of_[m.run_control] = m.probe;
+  RunRecord& suspect = runs_.at(m.run_suspect);
+  RunRecord& control = runs_.at(m.run_control);
+  suspect.probe = m.probe;
+  control.probe = m.probe;
 
   // Replica 0 is pinned onto the suspect alone; replica 1 runs on nodes
   // outside the whole suspect set (the honest control).
   ctl_of_[tracker_.next_run_id()] = m.run_suspect;
-  tracker_of_[m.run_suspect] = tracker_.submit(
+  suspect.tracker_run = tracker_.submit(
       *probe->plan, spec, 0, {m.input_path.str()}, m.suspect_path.str(),
       /*avoid=*/{},
       /*restrict_to=*/
       {static_cast<cluster::NodeId>(m.suspect - cfg_.node_base)});
   ctl_of_[tracker_.next_run_id()] = m.run_control;
-  tracker_of_[m.run_control] = tracker_.submit(
+  control.tracker_run = tracker_.submit(
       *probe->plan, spec, 1, {m.input_path.str()}, m.control_path.str(),
       to_local(m.avoid));
   probe_jobs_.push_back(std::move(probe));
@@ -251,8 +254,10 @@ void ComputationService::handle(const Message& m) {
           [this](const SubmitRun& c) { on_submit(c); },
           [this](const ProbeRequest& c) { on_probe(c); },
           [this](const CancelRun& c) {
-            const auto it = tracker_of_.find(c.run);
-            if (it != tracker_of_.end()) tracker_.cancel_run(it->second);
+            const auto it = runs_.find(c.run);
+            if (it != runs_.end() && it->second.tracker_run) {
+              tracker_.cancel_run(*it->second.tracker_run);
+            }
           },
           [this](const AddNodes& c) {
             // A broadcast or misrouted grow command must only grow the

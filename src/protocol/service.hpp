@@ -14,12 +14,15 @@
 // id spaces coincide in practice; the mapping keeps the protocol honest
 // about which tier owns which identifier.
 //
+// Everything the service knows about a run is one RunRecord keyed by
+// control run id, created when its SubmitRun/ProbeRequest is accepted.
+//
 // Idempotence & recovery: commands are deduplicated by their natural
 // identity (run id for SubmitRun/ProbeRequest, command seq for
 // AddNodes; CancelRun/DrainNode/ReadmitNode are naturally idempotent).
-// Every per-run outbound event is additionally retained in a history
-// keyed by control run id, stamped with a per-run sequence number; a
-// *duplicate* SubmitRun/ProbeRequest re-emits that history verbatim.
+// Every per-run outbound event is additionally retained in the run's
+// history, stamped with a per-run sequence number; a *duplicate*
+// SubmitRun/ProbeRequest re-emits that history verbatim.
 // This is what makes controller crash-recovery exact: events that died
 // in the crash window are recovered by the recovering controller
 // re-sending the (journaled) submission, and the control-plane mirror
@@ -32,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -78,7 +82,20 @@ class ComputationService {
   void emit(std::uint64_t ctl_run, Message event);
   /// Re-ship a run's retained events (duplicate-submission recovery).
   void replay_history(std::uint64_t ctl_run);
-  std::uint64_t next_seq(std::uint64_t ctl_run) { return ++seq_of_[ctl_run]; }
+
+  struct RunRecord {
+    /// Tracker run id, once submitted (CancelRun addresses control ids).
+    std::optional<std::size_t> tracker_run;
+    /// Probe id, for runs that answer with ProbeReply.
+    std::optional<std::uint64_t> probe;
+    /// Digest reports forwarded — RunComplete carries the total so the
+    /// control tier can detect in-flight digest loss.
+    std::uint64_t digests_sent = 0;
+    /// Event sequence counter (Heartbeat/DigestBatch share one).
+    std::uint64_t seq = 0;
+    /// Retained outbound events, re-emitted on duplicate submit.
+    std::vector<Message> history;
+  };
 
   cluster::ExecutionTracker& tracker_;
   Transport& transport_;
@@ -87,21 +104,11 @@ class ComputationService {
 
   /// tracker run id -> control run id.
   std::map<std::size_t, std::uint64_t> ctl_of_;
-  /// control run id -> tracker run id (CancelRun addresses control ids).
-  std::map<std::uint64_t, std::size_t> tracker_of_;
-  /// Control run ids already accepted (a duplicated SubmitRun is ignored).
-  std::set<std::uint64_t> accepted_;
+  /// Control run id -> record; present once accepted (a duplicated
+  /// SubmitRun is answered from it instead of executing again).
+  std::map<std::uint64_t, RunRecord> runs_;
   /// AddNodes command seqs already applied (duplicate fleet guard).
   std::set<std::uint64_t> addnode_seqs_;
-  /// Digest reports forwarded per control run — RunComplete carries the
-  /// total so the control tier can detect in-flight digest loss.
-  std::map<std::uint64_t, std::uint64_t> digests_sent_;
-  /// Control run id -> probe id, for runs that answer with ProbeReply.
-  std::map<std::uint64_t, std::uint64_t> probe_of_;
-  /// Per-run event sequence counters (Heartbeat/DigestBatch share one).
-  std::map<std::uint64_t, std::uint64_t> seq_of_;
-  /// Per-run retained outbound events, re-emitted on duplicate submit.
-  std::map<std::uint64_t, std::vector<Message>> history_;
 
   /// Probe plans/specs must outlive their runs in the tracker.
   struct ProbeJob {

@@ -11,6 +11,10 @@ using cluster::NodeId;
 
 namespace {
 
+/// Job length in time units, drawn uniformly from [min, max].
+constexpr std::int64_t kJobMinLen = 2;
+constexpr std::int64_t kJobMaxLen = 6;
+
 struct ActiveJob {
   std::size_t end_time = 0;
   /// One node set per replica; replica sets are pairwise disjoint.
@@ -121,10 +125,8 @@ IsolationSimResult run_isolation_sim(const IsolationSimConfig& cfg) {
       if (total_free < slots * cfg.replicas) break;
 
       ActiveJob job;
-      job.end_time =
-          t + static_cast<std::size_t>(rng.uniform_int(
-                  static_cast<std::int64_t>(cfg.job_min_len),
-                  static_cast<std::int64_t>(cfg.job_max_len)));
+      job.end_time = t + static_cast<std::size_t>(
+                             rng.uniform_int(kJobMinLen, kJobMaxLen));
       bool placed_all = true;
       std::set<NodeId> used_by_job;  // replica-safety: disjoint node sets
 

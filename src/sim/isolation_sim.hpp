@@ -34,9 +34,6 @@ struct IsolationSimConfig {
   std::size_t ratio_medium = 3;
   std::size_t ratio_small = 1;
 
-  std::size_t job_min_len = 2;   ///< job length in time units
-  std::size_t job_max_len = 6;
-
   std::size_t max_completed_jobs = 300;  ///< stop condition
   std::size_t max_time = 2000;
 

@@ -283,6 +283,31 @@ TEST(ControllerTest, SuspicionThresholdEvictsByzantineNode) {
   EXPECT_EQ(res.commission_faults_seen, 0u);
 }
 
+TEST(ControllerTest, DrainOfUnannouncedNodeLeavesDegradationIntact) {
+  // Every announced node is drained, so r = 2 only fits by degradation.
+  // A NodeDrained naming an id no NodeAnnounce introduced (a corrupt or
+  // confused computation tier) must not count as an exclusion: if it
+  // did, the healthy-pool arithmetic would wrap around, and waves would
+  // be placed onto a pool with no schedulable node until the rerun
+  // budget ran out.
+  TrackerConfig cfg;
+  cfg.num_nodes = 4;
+  World w(cfg);
+  w.load_twitter();
+  for (cluster::NodeId n = 0; n < 4; ++n) w.tracker->drain_node(n);
+  w.seam->transport.to_control(protocol::NodeDrained{99});
+  auto req = baseline::cluster_bft(workloads::twitter_follower_analysis(),
+                                   "phantom", 1, 2, 1);
+  req.degraded_mode = DegradedMode::kReadmit;
+  const auto res = w.controller->execute(req);
+  EXPECT_EQ(res.failure, FailureReason::kNone) << to_string(res.failure);
+  EXPECT_TRUE(res.verified);
+  EXPECT_TRUE(res.degraded);
+  EXPECT_EQ(res.metrics.runs, 2u);
+  EXPECT_EQ(res.metrics.waves, 2u);
+  w.expect_outputs_match_interpreter(req, res);
+}
+
 TEST(ControllerTest, BackToBackExecutionsAreIndependent) {
   World w;
   w.load_twitter();

@@ -87,7 +87,7 @@ struct RuleCount {
 // unseeded-random fires twice: once for the classic rand()/random_device
 // shapes and once for the brace-init mt19937 seeded from a time-derived
 // helper (the evasion the rule was extended to catch).
-const std::array<RuleCount, 11> kLintExpected = {{
+const std::array<RuleCount, 12> kLintExpected = {{
     {"unordered-container", 1},
     {"unseeded-random", 2},
     {"wall-clock", 1},
@@ -99,6 +99,7 @@ const std::array<RuleCount, 11> kLintExpected = {{
     {"uninit-pod-member", 1},
     {"trust-boundary-include", 2},
     {"session-isolation", 1},
+    {"suspicion-ledger", 1},
 }};
 
 // Expected finding count per analyzer rule over tools/analyze/fixtures:

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
+#include "protocol/control_plane.hpp"
+#include "protocol/loopback.hpp"
 
 namespace clusterbft::cluster {
 namespace {
@@ -88,29 +92,64 @@ TEST(ResourceTableTest, ReleasingUnknownSidThrows) {
   EXPECT_THROW(rt.release(0, "b"), CheckError);
 }
 
+// The suspicion ledger (s = faults / jobs, §4.1) is control-tier data:
+// it lives in the ControlPlane mirror, which learns jobs from NodeStatus
+// events and faults from the controller's attribution. The resource table
+// above only honours the exclusions it leads to.
+
+/// Dispatch one run that `node` serves: one job in its denominator.
+void run_on(protocol::ControlPlane& cp, std::uint64_t node) {
+  cp.inject(protocol::NodeStatus{cp.submit_run({}), node});
+}
+
 TEST(ResourceTableTest, SuspicionIsFaultsOverJobs) {
-  ResourceTable rt;
-  rt.add_nodes(1, 1);
-  EXPECT_DOUBLE_EQ(rt.entry(0).suspicion(), 0.0);
-  rt.record_execution(0);
-  rt.record_execution(0);
-  rt.record_fault(0);
-  EXPECT_DOUBLE_EQ(rt.entry(0).suspicion(), 0.5);
+  protocol::LoopbackTransport transport;
+  protocol::ControlPlane cp(transport);
+  cp.inject(protocol::NodeAnnounce{0, 1});
+  EXPECT_DOUBLE_EQ(cp.suspicion(0), 0.0);
+  run_on(cp, 0);
+  run_on(cp, 0);
+  cp.record_fault(0);
+  EXPECT_DOUBLE_EQ(cp.suspicion(0), 0.5);
 }
 
 TEST(ResourceTableTest, ThresholdExcludesOnce) {
-  ResourceTable rt;
-  rt.add_nodes(3, 1);
-  rt.record_execution(0);
-  rt.record_fault(0);  // s = 1.0
-  rt.record_execution(1);  // s = 0.0
-  auto excluded = rt.apply_threshold(0.8);
+  protocol::LoopbackTransport transport;
+  protocol::ControlPlane cp(transport);
+  cp.inject(protocol::NodeAnnounce{0, 3});
+  run_on(cp, 0);
+  run_on(cp, 1);
+  cp.record_fault(0);  // s = 1.0; node 1: s = 0.0; node 2 never ran
+  const auto excluded = cp.apply_suspicion_threshold(0.8);
   ASSERT_EQ(excluded.size(), 1u);
   EXPECT_EQ(excluded[0], 0u);
-  EXPECT_TRUE(rt.entry(0).excluded);
-  EXPECT_EQ(rt.excluded_count(), 1u);
+  // The exclusion lands with the computation tier's NodeDrained echo.
+  cp.inject(protocol::NodeDrained{0});
+  EXPECT_TRUE(cp.node_excluded(0));
+  EXPECT_EQ(cp.excluded_nodes(), (std::vector<std::uint64_t>{0}));
   // Idempotent: already-excluded nodes are not reported again.
-  EXPECT_TRUE(rt.apply_threshold(0.8).empty());
+  EXPECT_TRUE(cp.apply_suspicion_threshold(0.8).empty());
+}
+
+TEST(ControlPlaneTest, MembershipEventsForUnannouncedNodesAreDropped) {
+  protocol::LoopbackTransport transport;
+  protocol::ControlPlane cp(transport);
+  cp.inject(protocol::NodeAnnounce{0, 4});
+  for (std::uint64_t n = 0; n < 4; ++n) cp.inject(protocol::NodeDrained{n});
+  // Ids no NodeAnnounce introduced, below and above the old id ceiling.
+  cp.inject(protocol::NodeDrained{99});
+  cp.inject(protocol::NodeDrained{1ULL << 30});
+  EXPECT_EQ(cp.cluster_size(), 4u);
+  EXPECT_EQ(cp.excluded_nodes(), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_FALSE(cp.node_excluded(99));
+
+  cp.inject(protocol::NodeReadmitted{99});
+  cp.inject(protocol::NodeReadmitted{2});
+  EXPECT_EQ(cp.excluded_nodes(), (std::vector<std::uint64_t>{0, 1, 3}));
+  // A duplicated announce neither grows the pool nor readmits anyone.
+  cp.inject(protocol::NodeAnnounce{0, 4});
+  EXPECT_EQ(cp.cluster_size(), 4u);
+  EXPECT_EQ(cp.excluded_nodes(), (std::vector<std::uint64_t>{0, 1, 3}));
 }
 
 }  // namespace

@@ -194,9 +194,7 @@ TEST(TrackerTest, MetricsAreAccountedAndLatencyPositive) {
 TEST(TrackerTest, ExcludedNodesGetNoTasks) {
   Fixture fx(workloads::twitter_follower_analysis());
   ExecutionTracker tracker(fx.sim, fx.dfs, small_cluster(3, 3));
-  tracker.resources().record_execution(0);
-  tracker.resources().record_fault(0);
-  tracker.resources().apply_threshold(0.5);
+  tracker.drain_node(0);
   const MRJobSpec& spec = fx.dag.jobs[0];
   const auto run =
       tracker.submit(fx.plan, spec, 0, chain_inputs(fx.plan, spec, "a/"),

@@ -23,7 +23,7 @@ struct Scheduler {
   void shed(int node) { ctl->drain_node(node); }  // lint:allow(session-isolation)
 
   // Read-only queries stay legal without any marker.
-  int capacity() const { return ctl->healthy_pool_size(); }
+  int capacity() const { return ctl->placement_capacity(0); }
 };
 
 }  // namespace fixture_frontend
